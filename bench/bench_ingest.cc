@@ -1,10 +1,11 @@
 // Streaming ingest throughput (DESIGN.md §5e): loopback replay of each
 // campaign through the sharded IngestServer, verifying on the way that
-// the incremental results stay byte-identical to the batch kernels.
+// the stream summary of the committed records is byte-identical to the
+// summary of the replayed campaign.
 //
 // Reproduction lines are greppable (`tokyonet-ingest: key=value ...`)
 // so tools/run_bench.sh can lift replay throughput into the bench JSON.
-#include "analysis/incremental.h"
+#include "analysis/stream_result.h"
 #include "common.h"
 #include "ingest/replay.h"
 #include "ingest/server.h"
@@ -19,16 +20,18 @@ using namespace tokyonet;
 struct LoopbackRun {
   ingest::ReplayStats stats;
   ingest::IngestCounters counters;
-  analysis::StreamResult result;
   double wall_seconds = 0.0;  // replay + drain, i.e. until committed
   bool clean = false;
 };
 
 /// Replays `ds` through an in-process server and waits (shutdown) until
 /// every routed batch is committed, so records/sec measures the full
-/// pipeline: encode -> parse -> route -> shard commit -> incremental.
+/// pipeline: encode -> parse -> route -> shard commit. When `result` is
+/// given, it receives the server's stream summary, queried after the
+/// clock stops (a batch analysis of the committed records).
 LoopbackRun run_loopback(const Dataset& ds, int shards, bool shed,
-                         std::size_t queue_capacity) {
+                         std::size_t queue_capacity,
+                         analysis::StreamResult* result = nullptr) {
   ingest::IngestConfig cfg;
   cfg.shards = shards;
   cfg.queue_capacity = queue_capacity;
@@ -49,7 +52,7 @@ LoopbackRun run_loopback(const Dataset& ds, int shards, bool shed,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   run.counters = server.counters();
-  run.result = server.result();
+  if (result != nullptr) *result = server.result();
   return run;
 }
 
@@ -77,10 +80,10 @@ void print_reproduction() {
     const Dataset& ds = bench::campaign(year);  // materialize pre-server
     const analysis::StreamResult batch = analysis::batch_stream_result(ds);
     for (const int shards : {1, 4}) {
+      analysis::StreamResult result;
       const LoopbackRun run = run_loopback(ds, shards, /*shed=*/false,
-                                           /*queue_capacity=*/64);
-      const std::string diff =
-          analysis::compare_stream_results(run.result, batch);
+                                           /*queue_capacity=*/64, &result);
+      const std::string diff = analysis::compare_stream_results(result, batch);
       if (!run.clean || !diff.empty()) {
         std::printf("bench_ingest: FAILED (year=%d shards=%d): %s\n",
                     year_number(year), shards,

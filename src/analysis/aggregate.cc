@@ -22,16 +22,6 @@ void add_hour_sums(std::vector<std::uint64_t>& acc,
   for (std::size_t h = 0; h < acc.size(); ++h) acc[h] += p[h];
 }
 
-[[nodiscard]] double stream_bytes(const Sample& s, Stream stream) noexcept {
-  switch (stream) {
-    case Stream::CellRx: return s.cell_rx;
-    case Stream::CellTx: return s.cell_tx;
-    case Stream::WifiRx: return s.wifi_rx;
-    case Stream::WifiTx: return s.wifi_tx;
-  }
-  return 0;
-}
-
 [[nodiscard]] std::span<const std::uint32_t> stream_column(
     const core::DatasetIndex& idx, Stream stream) noexcept {
   switch (stream) {
@@ -49,32 +39,22 @@ std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
                                                Stream stream) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    // Unindexed dataset (e.g. hand-built in tests): serial reference.
-    std::vector<std::uint64_t> total(n_hours, 0);
-    for (const Sample& s : ds.samples) {
-      const auto hour = static_cast<std::size_t>(s.bin / kBinsPerHour);
-      total[hour] += static_cast<std::uint64_t>(stream_bytes(s, stream));
-    }
-    return total;
-  }
-
-  const std::span<const TimeBin> bin = idx->bin();
-  const std::span<const std::uint32_t> bytes = stream_column(*idx, stream);
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bin = idx.bin();
+  const std::span<const std::uint32_t> bytes = stream_column(idx, stream);
   const std::size_t n = bin.size();
   std::vector<std::vector<std::uint64_t>> partials;
-  if (idx->dense()) {
+  if (idx.dense()) {
     // Dense campaign: each device contributes exactly kBinsPerHour
     // consecutive samples per hour, so the hour sums are fixed-stride
     // runs — no per-sample bin division, no scatter, and the inner sum
     // auto-vectorizes.
     partials = query::map_device_blocks(
-        idx->num_devices(), [&](std::size_t d0, std::size_t d1) {
+        idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
           std::vector<std::uint64_t> sums(n_hours, 0);
           static_assert(kBinsPerHour == 6);
           for (std::size_t d = d0; d < d1; ++d) {
-            const std::uint32_t* p = bytes.data() + idx->device_begin(d);
+            const std::uint32_t* p = bytes.data() + idx.device_begin(d);
             for (std::size_t h = 0; h < n_hours; ++h, p += kBinsPerHour) {
               sums[h] +=
                   std::uint64_t{p[0]} + p[1] + p[2] + p[3] + p[4] + p[5];
@@ -101,43 +81,26 @@ AllStreamSums aggregate_all_streams(const Dataset& ds) {
   AllStreamSums out;
   for (auto& sums : out.hour_sums) sums.assign(n_hours, 0);
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    // Unindexed dataset (e.g. hand-built in tests): serial reference,
-    // matching aggregate_hour_sums() and lte_traffic_sums() exactly.
-    for (const Sample& s : ds.samples) {
-      const auto hour = static_cast<std::size_t>(s.bin / kBinsPerHour);
-      out.hour_sums[0][hour] += s.cell_rx;
-      out.hour_sums[1][hour] += s.cell_tx;
-      out.hour_sums[2][hour] += s.wifi_rx;
-      out.hour_sums[3][hour] += s.wifi_tx;
-      if (s.cell_rx != 0) {
-        out.lte.total += s.cell_rx;
-        if (s.tech == CellTech::Lte) out.lte.lte += s.cell_rx;
-      }
-    }
-    return out;
-  }
-
+  const core::DatasetIndex& idx = ds.index();
   const std::span<const std::uint32_t> cols[4] = {
-      idx->cell_rx(), idx->cell_tx(), idx->wifi_rx(), idx->wifi_tx()};
-  const std::span<const CellTech> tech = idx->tech();
+      idx.cell_rx(), idx.cell_tx(), idx.wifi_rx(), idx.wifi_tx()};
+  const std::span<const CellTech> tech = idx.tech();
   struct Partial {
     std::vector<std::uint64_t> hour_sums[4];
     std::uint64_t lte = 0, total = 0;
   };
   std::vector<Partial> partials;
-  if (idx->dense()) {
+  if (idx.dense()) {
     // Dense campaign: fixed-stride hour runs per device, all four
     // streams and the LTE tallies in one walk (see the dense path of
     // aggregate_hour_sums() for the stride argument).
     partials = query::map_device_blocks(
-        idx->num_devices(), [&](std::size_t d0, std::size_t d1) {
+        idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
       Partial part;
       for (auto& sums : part.hour_sums) sums.assign(n_hours, 0);
       static_assert(kBinsPerHour == 6);
       for (std::size_t d = d0; d < d1; ++d) {
-        const std::size_t begin = idx->device_begin(d);
+        const std::size_t begin = idx.device_begin(d);
         const std::uint32_t* p[4];
         for (int s = 0; s < 4; ++s) p[s] = cols[s].data() + begin;
         const CellTech* t = tech.data() + begin;
@@ -160,7 +123,7 @@ AllStreamSums aggregate_all_streams(const Dataset& ds) {
       return part;
     });
   } else {
-    const std::span<const TimeBin> bin = idx->bin();
+    const std::span<const TimeBin> bin = idx.bin();
     const std::size_t n = bin.size();
     partials = query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
       Partial part;
@@ -213,18 +176,7 @@ namespace {
     bool rx) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    std::vector<std::uint64_t> total(n_hours, 0);
-    for (const Sample& s : ds.samples) {
-      if (s.wifi_state != WifiState::Associated || s.ap == kNoAp) continue;
-      if (cls.class_of(s.ap) != filter.ap_class) continue;
-      if (filter.office_only && !cls.is_office[value(s.ap)]) continue;
-      const auto hour = static_cast<std::size_t>(s.bin / kBinsPerHour);
-      total[hour] += rx ? s.wifi_rx : s.wifi_tx;
-    }
-    return total;
-  }
+  const core::DatasetIndex& idx = ds.index();
 
   // Fold the per-sample class/office test into one per-AP table with a
   // trailing always-zero sentinel row: clamping the AP id into the table
@@ -238,21 +190,21 @@ namespace {
               (!filter.office_only || cls.is_office[a]);
   }
 
-  const std::span<const TimeBin> bin = idx->bin();
-  const std::span<const std::uint32_t> ap = idx->ap();
-  const std::span<const WifiState> state = idx->wifi_state();
+  const std::span<const TimeBin> bin = idx.bin();
+  const std::span<const std::uint32_t> ap = idx.ap();
+  const std::span<const WifiState> state = idx.wifi_state();
   const std::span<const std::uint32_t> bytes =
-      rx ? idx->wifi_rx() : idx->wifi_tx();
+      rx ? idx.wifi_rx() : idx.wifi_tx();
   const std::size_t n = bin.size();
   std::vector<std::vector<std::uint64_t>> partials;
-  if (idx->dense()) {
+  if (idx.dense()) {
     // Fixed-stride hour runs as in aggregate_series, with the keep
     // select folded into the accumulate.
     partials = query::map_device_blocks(
-        idx->num_devices(), [&](std::size_t d0, std::size_t d1) {
+        idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
           std::vector<std::uint64_t> sums(n_hours, 0);
           for (std::size_t d = d0; d < d1; ++d) {
-            const std::size_t begin = idx->device_begin(d);
+            const std::size_t begin = idx.device_begin(d);
             const std::uint32_t* ap_p = ap.data() + begin;
             const WifiState* st_p = state.data() + begin;
             const std::uint32_t* by_p = bytes.data() + begin;
@@ -355,69 +307,54 @@ namespace {
 [[nodiscard]] std::array<std::uint64_t, 4> wifi_location_sums(
     const Dataset& ds, const ApClassification& cls) {
   std::array<std::uint64_t, 4> out{};
-
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    for (const Sample& s : ds.samples) {
-      if (s.wifi_state != WifiState::Associated || s.ap == kNoAp) continue;
-      const std::uint64_t v = std::uint64_t{s.wifi_rx} + s.wifi_tx;
-      switch (cls.class_of(s.ap)) {
-        case ApClass::Home: out[0] += v; break;
-        case ApClass::Public: out[1] += v; break;
-        case ApClass::Other:
-          out[cls.is_office[value(s.ap)] ? 2 : 3] += v;
-          break;
-      }
+  const core::DatasetIndex& idx = ds.index();
+  // Per-AP bucket (home/public/office/other) resolved once; a fifth
+  // trash bucket absorbs out-of-range AP ids so the gather needs no
+  // bounds branch.
+  const std::size_t naps = ds.aps.size();
+  std::vector<std::uint8_t> bucket(naps + 1, 4);
+  for (std::size_t a = 0; a < naps; ++a) {
+    switch (cls.ap_class[a]) {
+      case ApClass::Home: bucket[a] = 0; break;
+      case ApClass::Public: bucket[a] = 1; break;
+      case ApClass::Other: bucket[a] = cls.is_office[a] ? 2 : 3; break;
     }
-  } else {
-    // Per-AP bucket (home/public/office/other) resolved once; a fifth
-    // trash bucket absorbs out-of-range AP ids so the gather needs no
-    // bounds branch.
-    const std::size_t naps = ds.aps.size();
-    std::vector<std::uint8_t> bucket(naps + 1, 4);
-    for (std::size_t a = 0; a < naps; ++a) {
-      switch (cls.ap_class[a]) {
-        case ApClass::Home: bucket[a] = 0; break;
-        case ApClass::Public: bucket[a] = 1; break;
-        case ApClass::Other: bucket[a] = cls.is_office[a] ? 2 : 3; break;
-      }
-    }
-    const std::span<const std::uint32_t> ap = idx->ap();
-    const std::span<const WifiState> state = idx->wifi_state();
-    const std::span<const std::uint32_t> wifi_rx = idx->wifi_rx();
-    const std::span<const std::uint32_t> wifi_tx = idx->wifi_tx();
-    const std::size_t n = ap.size();
-    using Sums = std::array<std::uint64_t, 5>;
-    const std::vector<Sums> partials =
-        query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-          Sums sums{};
-          // Devices dwell on one AP for many consecutive bins, so
-          // run-length-encode the AP stream: one bucket lookup per
-          // association run, and the byte sum inside a run is a
-          // contiguous select-accumulate the compiler vectorizes.
-          // u64 adds are associative, so per-run partial sums merge
-          // byte-identically with the per-sample reference.
-          std::size_t i = begin;
-          while (i < end) {
-            const std::uint32_t a = ap[i];
-            std::size_t j = i + 1;
-            while (j < end && ap[j] == a) ++j;
-            if (a != value(kNoAp)) {
-              std::uint64_t acc = 0;
-              for (std::size_t k = i; k < j; ++k) {
-                const std::uint64_t sel = state[k] == WifiState::Associated;
-                acc += sel * (std::uint64_t{wifi_rx[k]} + wifi_tx[k]);
-              }
-              const std::size_t ki = a < naps ? a : naps;
-              sums[bucket[ki]] += acc;
+  }
+  const std::span<const std::uint32_t> ap = idx.ap();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const std::span<const std::uint32_t> wifi_rx = idx.wifi_rx();
+  const std::span<const std::uint32_t> wifi_tx = idx.wifi_tx();
+  const std::size_t n = ap.size();
+  using Sums = std::array<std::uint64_t, 5>;
+  const std::vector<Sums> partials =
+      query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
+        Sums sums{};
+        // Devices dwell on one AP for many consecutive bins, so
+        // run-length-encode the AP stream: one bucket lookup per
+        // association run, and the byte sum inside a run is a
+        // contiguous select-accumulate the compiler vectorizes.
+        // u64 adds are associative, so per-run partial sums merge
+        // byte-identically with the per-sample reference.
+        std::size_t i = begin;
+        while (i < end) {
+          const std::uint32_t a = ap[i];
+          std::size_t j = i + 1;
+          while (j < end && ap[j] == a) ++j;
+          if (a != value(kNoAp)) {
+            std::uint64_t acc = 0;
+            for (std::size_t k = i; k < j; ++k) {
+              const std::uint64_t sel = state[k] == WifiState::Associated;
+              acc += sel * (std::uint64_t{wifi_rx[k]} + wifi_tx[k]);
             }
-            i = j;
+            const std::size_t ki = a < naps ? a : naps;
+            sums[bucket[ki]] += acc;
           }
-          return sums;
-        });
-    for (const Sums& p : partials) {
-      for (std::size_t b = 0; b < 4; ++b) out[b] += p[b];
-    }
+          i = j;
+        }
+        return sums;
+      });
+  for (const Sums& p : partials) {
+    for (std::size_t b = 0; b < 4; ++b) out[b] += p[b];
   }
   return out;
 }

@@ -15,40 +15,28 @@ namespace tokyonet::analysis {
 ScanAvailability scan_availability(const Dataset& ds) {
   ScanAvailability out;
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    for (const Sample& s : ds.samples) {
-      if (s.wifi_state != WifiState::OnUnassociated) continue;
-      if (ds.devices[value(s.device)].os != Os::Android) continue;
-      out.all_24.push_back(s.scan_pub24_all);
-      out.strong_24.push_back(s.scan_pub24_strong);
-      out.all_5.push_back(s.scan_pub5_all);
-      out.strong_5.push_back(s.scan_pub5_strong);
-    }
-    return out;
-  }
-
+  const core::DatasetIndex& idx = ds.index();
   // Two passes. Pass 1 counts each device's WiFi-available samples with
   // a SIMD byte-compare, giving exact output offsets via a prefix sum;
   // pass 2 fills the final vectors in place at those offsets. No
   // partial vectors, no reallocation, no concatenation — and the
   // emission order is the (device, bin) sample order by construction,
   // identical at any thread count or device partitioning.
-  const std::span<const WifiState> state = idx->wifi_state();
+  const std::span<const WifiState> state = idx.wifi_state();
   const auto* state_u8 = reinterpret_cast<const std::uint8_t*>(state.data());
   constexpr auto kAvail = static_cast<std::uint8_t>(WifiState::OnUnassociated);
-  const std::span<const std::uint8_t> a24 = idx->scan_pub24_all();
-  const std::span<const std::uint8_t> s24 = idx->scan_pub24_strong();
-  const std::span<const std::uint8_t> a5 = idx->scan_pub5_all();
-  const std::span<const std::uint8_t> s5 = idx->scan_pub5_strong();
+  const std::span<const std::uint8_t> a24 = idx.scan_pub24_all();
+  const std::span<const std::uint8_t> s24 = idx.scan_pub24_strong();
+  const std::span<const std::uint8_t> a5 = idx.scan_pub5_all();
+  const std::span<const std::uint8_t> s5 = idx.scan_pub5_strong();
   const std::size_t n_devices = ds.devices.size();
 
   std::vector<std::size_t> offset(n_devices + 1, 0);
   core::parallel_for(n_devices, [&](std::size_t d) {
     if (ds.devices[d].os != Os::Android) return;
-    const std::size_t begin = idx->device_begin(d);
+    const std::size_t begin = idx.device_begin(d);
     offset[d + 1] = stats::simd::count_eq_u8(
-        state_u8 + begin, idx->device_end(d) - begin, kAvail);
+        state_u8 + begin, idx.device_end(d) - begin, kAvail);
   });
   for (std::size_t d = 0; d < n_devices; ++d) offset[d + 1] += offset[d];
 
@@ -60,8 +48,8 @@ ScanAvailability scan_availability(const Dataset& ds) {
   core::parallel_for(n_devices, [&](std::size_t d) {
     if (ds.devices[d].os != Os::Android) return;
     std::size_t pos = offset[d];
-    const std::size_t end = idx->device_end(d);
-    for (std::size_t i = idx->device_begin(d); i < end; ++i) {
+    const std::size_t end = idx.device_end(d);
+    for (std::size_t i = idx.device_begin(d); i < end; ++i) {
       if (state[i] != WifiState::OnUnassociated) continue;
       out.all_24[pos] = a24[i];
       out.strong_24[pos] = s24[i];
@@ -74,54 +62,38 @@ ScanAvailability scan_availability(const Dataset& ds) {
 }
 
 std::vector<OffloadDeviceMetrics> offload_device_metrics(const Dataset& ds) {
-  // Per-device metrics, computed in parallel over the index when it is
-  // available. The indexed path accumulates byte totals as exact u64
-  // sums and converts to MB once per device, so every partial is
-  // grouping-independent and the cross-device fold in
-  // offload_opportunity_from_metrics() (serial, in device order) gives
-  // the same result at any thread count.
-  const core::DatasetIndex* idx = ds.index();
+  // Per-device metrics, computed in parallel over the index. Byte
+  // totals accumulate as exact u64 sums and convert to MB once per
+  // device, so every partial is grouping-independent and the
+  // cross-device fold in offload_opportunity_from_metrics() (serial, in
+  // device order) gives the same result at any thread count.
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const std::uint32_t> cell_rx = idx.cell_rx();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const std::span<const std::uint8_t> s24 = idx.scan_pub24_strong();
+  const std::span<const std::uint8_t> s5 = idx.scan_pub5_strong();
   return core::parallel_map(
       ds.devices.size(), [&](std::size_t d) {
         OffloadDeviceMetrics m;
         if (ds.devices[d].os != Os::Android) return m;
-        if (idx != nullptr) {
-          const std::size_t begin = idx->device_begin(d);
-          const std::size_t end = idx->device_end(d);
-          if (begin == end) return m;
-          m.counted = true;
-          m.n = end - begin;
-          const std::span<const std::uint32_t> cell_rx = idx->cell_rx();
-          const std::span<const WifiState> state = idx->wifi_state();
-          const std::span<const std::uint8_t> s24 = idx->scan_pub24_strong();
-          const std::span<const std::uint8_t> s5 = idx->scan_pub5_strong();
-          std::uint64_t covered_bytes = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            const bool unassoc = state[i] == WifiState::OnUnassociated;
-            const bool strong = unassoc && s24[i] + s5[i] > 0;
-            m.unassoc += unassoc;
-            m.unassoc_strong += strong;
-            covered_bytes += strong ? std::uint64_t{cell_rx[i]} : 0;
-          }
-          m.cell_rx_total =
-              static_cast<double>(stats::simd::sum_u32(
-                  cell_rx.data() + begin, end - begin)) /
-              kBytesPerMb;
-          m.cell_rx_covered = static_cast<double>(covered_bytes) / kBytesPerMb;
-        } else {
-          const auto samples = ds.device_samples(ds.devices[d].id);
-          if (samples.empty()) return m;
-          m.counted = true;
-          m.n = samples.size();
-          for (const Sample& s : samples) {
-            m.cell_rx_total += s.cell_rx / kBytesPerMb;
-            if (s.wifi_state != WifiState::OnUnassociated) continue;
-            ++m.unassoc;
-            const bool strong = s.scan_pub24_strong + s.scan_pub5_strong > 0;
-            m.unassoc_strong += strong;
-            if (strong) m.cell_rx_covered += s.cell_rx / kBytesPerMb;
-          }
+        const std::size_t begin = idx.device_begin(d);
+        const std::size_t end = idx.device_end(d);
+        if (begin == end) return m;
+        m.counted = true;
+        m.n = end - begin;
+        std::uint64_t covered_bytes = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const bool unassoc = state[i] == WifiState::OnUnassociated;
+          const bool strong = unassoc && s24[i] + s5[i] > 0;
+          m.unassoc += unassoc;
+          m.unassoc_strong += strong;
+          covered_bytes += strong ? std::uint64_t{cell_rx[i]} : 0;
         }
+        m.cell_rx_total =
+            static_cast<double>(stats::simd::sum_u32(
+                cell_rx.data() + begin, end - begin)) /
+            kBytesPerMb;
+        m.cell_rx_covered = static_cast<double>(covered_bytes) / kBytesPerMb;
         return m;
       });
 }

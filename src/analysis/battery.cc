@@ -33,31 +33,14 @@ struct BatteryPartial {
 [[nodiscard]] BatteryPartial battery_scan(const Dataset& ds) {
   BatteryPartial out;
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    for (const Sample& s : ds.samples) {
-      out.mean_level.add(ds.calendar, s.bin, s.battery_pct, 1.0);
-      out.sum += s.battery_pct;
-      ++out.n;
-      out.low += s.battery_pct < 20;
-      if (s.wifi_state == WifiState::Off) {
-        out.off_sum += s.battery_pct;
-        ++out.off_n;
-      } else {
-        out.on_sum += s.battery_pct;
-        ++out.on_n;
-      }
-    }
-    return out;
-  }
-
+  const core::DatasetIndex& idx = ds.index();
   // Chunked partials over the SoA columns. Every accumulation is an
   // integer sum (exact in doubles / u64), so the chunk merge is
   // byte-identical to the serial scan at any thread count.
-  const std::span<const TimeBin> bin = idx->bin();
-  const std::span<const std::uint8_t> battery = idx->battery_pct();
-  const std::span<const WifiState> state = idx->wifi_state();
-  const std::span<const std::uint16_t> how = idx->hour_of_week_table();
+  const std::span<const TimeBin> bin = idx.bin();
+  const std::span<const std::uint8_t> battery = idx.battery_pct();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const std::span<const std::uint16_t> how = idx.hour_of_week_table();
   const std::size_t total = bin.size();
   const std::vector<BatteryPartial> partials =
       query::map_chunks(total, [&](std::size_t begin, std::size_t end) {

@@ -50,14 +50,6 @@ WifiRatios compute_wifi_ratios(const Dataset& ds,
   }
 
   const CampaignCalendar& cal = ds.calendar;
-  if (!ds.indexed()) {
-    // No per-device index (e.g. hand-built datasets in tests): single
-    // pass over the raw sample stream.
-    WifiRatios r;
-    for (const Sample& s : ds.samples) add_sample(r, cal, s, klass, num_days);
-    return r;
-  }
-
   // One partial result per device, reduced in device order: the sums
   // are grouped per device rather than interleaved, but the grouping is
   // fixed, so the result is identical at any thread count.

@@ -36,19 +36,8 @@ struct CarrierCounts {
 [[nodiscard]] CarrierCounts ios_wifi_user_counts(const Dataset& ds) {
   CarrierCounts out;
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    for (const Sample& s : ds.samples) {
-      const DeviceInfo& dev = ds.devices[value(s.device)];
-      if (dev.os != Os::Ios) continue;
-      const auto c = static_cast<std::size_t>(dev.carrier);
-      out.total[c] += 1;
-      out.assoc[c] += s.wifi_state == WifiState::Associated;
-    }
-    return out;
-  }
-
-  const std::span<const WifiState> state = idx->wifi_state();
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const WifiState> state = idx.wifi_state();
   const auto* state_u8 = reinterpret_cast<const std::uint8_t*>(state.data());
   const std::size_t n_devices = ds.devices.size();
   const std::vector<CarrierCounts> partials = query::map_device_blocks(
@@ -58,8 +47,8 @@ struct CarrierCounts {
           const DeviceInfo& dev = ds.devices[d];
           if (dev.os != Os::Ios) continue;
           const auto c = static_cast<std::size_t>(dev.carrier);
-          const std::size_t begin = idx->device_begin(d);
-          const std::size_t end = idx->device_end(d);
+          const std::size_t begin = idx.device_begin(d);
+          const std::size_t end = idx.device_end(d);
           counts.total[c] += end - begin;
           counts.assoc[c] += stats::simd::count_eq_u8(
               state_u8 + begin, end - begin,
@@ -86,37 +75,16 @@ struct CarrierCounts {
 }  // namespace
 
 WifiStateProfiles compute_wifi_states(const Dataset& ds) {
-  const CampaignCalendar& cal = ds.calendar;
-
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    WifiStateProfiles p;
-    for (const Sample& s : ds.samples) {
-      const Os os = ds.devices[value(s.device)].os;
-      const bool assoc = s.wifi_state == WifiState::Associated;
-      if (os == Os::Android) {
-        p.android_user.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
-        p.android_off.add(cal, s.bin,
-                          s.wifi_state == WifiState::Off ? 1.0 : 0.0, 1.0);
-        p.android_available.add(
-            cal, s.bin, s.wifi_state == WifiState::OnUnassociated ? 1.0 : 0.0,
-            1.0);
-      } else {
-        p.ios_user.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
-      }
-    }
-    return p;
-  }
-
+  const core::DatasetIndex& idx = ds.index();
   // Branch-free counting pass: per block, one (hour-of-week, state)
   // counter bump per sample, then a single profile conversion per block.
   // The per-sample adds of the reference are 0/1 increments, so the
   // count-converted sums are the same exact integers in doubles: the
   // result is byte-identical to the serial reference at any thread
   // count and any device grouping.
-  const std::span<const TimeBin> bin = idx->bin();
-  const std::span<const WifiState> state = idx->wifi_state();
-  const std::span<const std::uint16_t> how = idx->hour_of_week_table();
+  const std::span<const TimeBin> bin = idx.bin();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const std::span<const std::uint16_t> how = idx.hour_of_week_table();
   const std::size_t n_devices = ds.devices.size();
   // Slot layout: 4 counters per hour-of-week, indexed by the WifiState
   // value (0 = Off, 1 = OnUnassociated, 2 = Associated; slot 3 unused).
@@ -129,8 +97,8 @@ WifiStateProfiles compute_wifi_states(const Dataset& ds) {
         for (std::size_t d = d0; d < d1; ++d) {
           std::uint32_t* const cnt =
               (ds.devices[d].os == Os::Android ? android : ios).data();
-          const std::size_t end = idx->device_end(d);
-          for (std::size_t i = idx->device_begin(d); i < end; ++i) {
+          const std::size_t end = idx.device_end(d);
+          for (std::size_t i = idx.device_begin(d); i < end; ++i) {
             ++cnt[(std::size_t{how[bin[i]]} << 2) |
                   static_cast<std::size_t>(state[i])];
           }

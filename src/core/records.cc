@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "core/dataset_index.h"
@@ -23,17 +24,21 @@ bool Dataset::indexed() const noexcept {
   return index_ != nullptr && index_->num_samples() == samples.size();
 }
 
-const core::DatasetIndex* Dataset::index() const noexcept {
-  return indexed() ? index_.get() : nullptr;
+const core::DatasetIndex& Dataset::index() const {
+  if (!indexed()) {
+    throw std::logic_error(
+        "analysis kernel handed an unindexed dataset (build_index() has "
+        "not succeeded for its current samples)");
+  }
+  return *index_;
 }
 
 std::span<const Sample> Dataset::device_samples(DeviceId id) const {
-  assert(indexed());
+  const core::DatasetIndex& idx = index();
   const std::size_t d = value(id);
   assert(d < devices.size());
-  const std::size_t begin = index_->device_begin(d);
-  const std::size_t end = index_->device_end(d);
-  return {samples.data() + begin, end - begin};
+  return {samples.data() + idx.device_begin(d),
+          idx.device_end(d) - idx.device_begin(d)};
 }
 
 std::string Dataset::validate_frame() const {

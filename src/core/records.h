@@ -252,11 +252,13 @@ class Dataset {
   /// sample count.
   [[nodiscard]] bool indexed() const noexcept;
 
-  /// The shared acceleration index, or nullptr when build_index() has
-  /// not run (or no longer matches the sample count).
-  [[nodiscard]] const core::DatasetIndex* index() const noexcept;
+  /// The shared acceleration index. Being indexed is an invariant of
+  /// every Dataset that reaches the analysis layer (the simulator,
+  /// snapshot, shard and CSV loads all build or adopt one), and this is
+  /// its one check: an unindexed dataset throws std::logic_error.
+  [[nodiscard]] const core::DatasetIndex& index() const;
 
-  /// All samples of one device, in time order.
+  /// All samples of one device, in time order. Requires the index.
   [[nodiscard]] std::span<const Sample> device_samples(DeviceId id) const;
 
   /// Per-application records of one sample.

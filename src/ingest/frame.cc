@@ -151,11 +151,17 @@ FrameParser::Status FrameParser::next(Frame& out) {
   } else if (type == FrameType::Records) {
     samples_.resize(h.n_samples);
     app_.resize(h.n_app);
-    std::memcpy(samples_.data(), payload,
-                std::size_t{h.n_samples} * sizeof(Sample));
-    std::memcpy(app_.data(),
-                payload + std::size_t{h.n_samples} * sizeof(Sample),
-                std::size_t{h.n_app} * sizeof(AppTraffic));
+    // An empty vector's data() may be null, and memcpy with a null
+    // pointer is undefined even for zero bytes.
+    if (h.n_samples > 0) {
+      std::memcpy(samples_.data(), payload,
+                  std::size_t{h.n_samples} * sizeof(Sample));
+    }
+    if (h.n_app > 0) {
+      std::memcpy(app_.data(),
+                  payload + std::size_t{h.n_samples} * sizeof(Sample),
+                  std::size_t{h.n_app} * sizeof(AppTraffic));
+    }
     for (std::size_t i = 0; i < samples_.size(); ++i) {
       const Sample& s = samples_[i];
       if (s.device != out.device) {

@@ -56,8 +56,9 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 32);
 
-/// Begin payload: everything the server needs to size its incremental
-/// state and validate later records.
+/// Begin payload: everything the server needs to size its storage,
+/// validate later records and frame the committed records as a
+/// campaign (calendar, universe sizes).
 struct BeginPayload {
   std::uint32_t year = 0;  // calendar year, 2013..2015
   std::int32_t start_year = 0;

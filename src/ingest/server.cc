@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "core/parallel.h"
-
 namespace tokyonet::ingest {
 namespace {
 
@@ -42,6 +40,15 @@ IngestServer::IngestServer(IngestConfig config) : config_(config) {
   for (int s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
   }
+  workers_.reserve(static_cast<std::size_t>(config_.shards));
+  try {
+    for (int s = 0; s < config_.shards; ++s) {
+      workers_.emplace_back([this, s] { worker_loop(s); });
+    }
+  } catch (...) {
+    shutdown();  // join the workers already started
+    throw;
+  }
 }
 
 IngestServer::~IngestServer() { shutdown(); }
@@ -58,7 +65,9 @@ void IngestServer::shutdown() {
     shut_down_ = true;
   }
   for (std::unique_ptr<Shard>& shard : shards_) shard->queue.close();
-  if (pump_.joinable()) pump_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 bool IngestServer::handle_begin(const BeginPayload& info,
@@ -80,11 +89,6 @@ bool IngestServer::handle_begin(const BeginPayload& info,
     return true;  // another session joining the same campaign
   }
 
-  incremental_ = std::make_unique<analysis::IncrementalAnalysis>(
-      Date{info.start_year, static_cast<int>(info.start_month),
-           static_cast<int>(info.start_day)},
-      static_cast<int>(info.num_days), info.n_devices, info.n_aps,
-      config_.shards);
   const std::size_t per_shard =
       (info.n_devices + static_cast<std::uint32_t>(config_.shards) - 1) /
       static_cast<std::uint32_t>(config_.shards);
@@ -92,17 +96,6 @@ bool IngestServer::handle_begin(const BeginPayload& info,
     shard->ranges.assign(per_shard, {});
   }
   begin_ = info;
-
-  // One long-lived pool batch hosts all shard workers: with n ==
-  // max_threads every participant's first index claim is distinct, so
-  // each worker loop gets its own thread for the stream's lifetime.
-  pump_ = std::thread([this] {
-    core::ThreadPool::global(config_.shards)
-        .for_each(static_cast<std::size_t>(config_.shards), config_.shards,
-                  [this](std::size_t i) {
-                    worker_loop(static_cast<int>(i));
-                  });
-  });
   return true;
 }
 
@@ -128,8 +121,6 @@ bool IngestServer::route(Batch batch, std::string* error) {
 void IngestServer::worker_loop(int shard_index) {
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
   while (std::optional<Batch> batch = shard.queue.pop()) {
-    incremental_->add_batch(shard_index, batch->device, batch->samples,
-                            batch->app);
     commit(shard_index, *batch);
     batches_committed_.fetch_add(1, kRelaxed);
     records_committed_.fetch_add(batch->samples.size(), kRelaxed);
@@ -180,12 +171,46 @@ std::optional<BeginPayload> IngestServer::campaign() const {
   return begin_;
 }
 
-analysis::StreamResult IngestServer::result() const {
-  {
-    std::lock_guard<std::mutex> lk(init_mu_);
-    if (!incremental_) return {};
+analysis::StreamResult IngestServer::result(std::string* error) const {
+  const std::optional<BeginPayload> info = campaign();
+  if (!info.has_value()) return {};
+
+  Dataset ds;
+  ds.calendar = CampaignCalendar(
+      Date{info->start_year, static_cast<int>(info->start_month),
+           static_cast<int>(info->start_day)},
+      static_cast<int>(info->num_days));
+  ds.devices.resize(info->n_devices);
+  for (std::uint32_t d = 0; d < info->n_devices; ++d) {
+    ds.devices[d].id = DeviceId{d};
   }
-  return incremental_->result();
+  ds.aps.resize(info->n_aps);
+  {
+    CommittedStream committed = collect();
+    for (Sample& s : committed.samples) {
+      // An app-less sample keeps its producer-side offset (frame.h),
+      // which can point past the records committed so far when shards
+      // lag or batches were shed; give it an offset inside the array.
+      if (s.app_count == 0) s.app_begin = 0;
+    }
+    ds.samples.insert(ds.samples.cend(), committed.samples.begin(),
+                      committed.samples.end());
+    ds.app_traffic.insert(ds.app_traffic.cend(),
+                          committed.app_traffic.begin(),
+                          committed.app_traffic.end());
+  }
+  if (!ds.build_index()) {
+    if (error != nullptr) {
+      *error = "committed records are not a campaign: " + ds.validate();
+    }
+    return {};
+  }
+  return analysis::batch_stream_result(ds);
+}
+
+std::unique_lock<std::mutex> IngestServer::freeze_shard(int shard) const {
+  return std::unique_lock<std::mutex>(
+      shards_[static_cast<std::size_t>(shard)]->mu);
 }
 
 IngestServer::CommittedStream IngestServer::collect() const {

@@ -2,18 +2,17 @@
 //
 // Sessions (one per connection, any thread) parse ingest frames
 // (ingest/frame.h) and route each device batch to the shard owning the
-// device (`device % shards`). Each shard worker drains a bounded FIFO
-// queue — blocking producers when it falls behind (backpressure), or
-// dropping batches with a counter in shed mode — and commits batches
-// into `core::Column`-backed storage plus the incremental analysis
-// state (analysis/incremental.h), which is queryable mid-stream.
+// device (`device % shards`). Each shard has a worker thread owned by
+// the server that drains a bounded FIFO queue — blocking producers when
+// it falls behind (backpressure), or dropping batches with a counter in
+// shed mode — and commits batches into `core::Column`-backed storage.
+// The workers never touch the core::parallel pool, so analysis kernels
+// (including a mid-stream `result()`) run on the pool while a stream is
+// active.
 //
-// The shard workers run on the process-wide core::parallel pool, held
-// by one long-lived `for_each` batch for the lifetime of the stream.
-// While a stream is active, other `parallel_for` submissions therefore
-// queue behind it — materialize datasets *before* starting a server,
-// and prefer the serial query APIs (`result()`, `counters()`) while
-// ingesting.
+// Queries run the batch kernels over the committed records: `result()`
+// is `analysis::batch_stream_result()` over `collect()`, framed by the
+// Begin frame.
 //
 // Error discipline: every malformed input — truncated frame, bad CRC,
 // wrong version, out-of-range record references — fails only the
@@ -32,7 +31,7 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/incremental.h"
+#include "analysis/stream_result.h"
 #include "core/column.h"
 #include "ingest/frame.h"
 #include "ingest/queue.h"
@@ -124,20 +123,28 @@ class IngestServer {
   /// Campaign announced by the first Begin frame (nullopt before).
   [[nodiscard]] std::optional<BeginPayload> campaign() const;
 
-  /// Mid-stream-safe snapshot of the incremental kernels. Empty before
-  /// the first Begin frame.
-  [[nodiscard]] analysis::StreamResult result() const;
+  /// `analysis::batch_stream_result()` over the records committed so
+  /// far, in a Dataset framed by the Begin frame (calendar, device ids,
+  /// AP universe size) with its index built. Safe mid-stream: it reads
+  /// one consistent collect() snapshot, so each call copies and indexes
+  /// every record committed so far. Empty before the first Begin
+  /// frame. Also empty when the committed records are not a campaign in
+  /// (device, bin) order — two sessions replayed the same device, or a
+  /// producer sent a device's bins out of order; `error`, when given,
+  /// then receives the reason.
+  [[nodiscard]] analysis::StreamResult result(
+      std::string* error = nullptr) const;
 
-  /// The live incremental state (null before Begin); used by tests to
-  /// freeze shards for deterministic backpressure.
-  [[nodiscard]] const analysis::IncrementalAnalysis* incremental() const {
-    return incremental_.get();
-  }
+  /// Locks one shard's committed storage, pausing its worker at the
+  /// next commit. Used by tests (deterministic backpressure) and by
+  /// operators who want several consistent reads in a row.
+  [[nodiscard]] std::unique_lock<std::mutex> freeze_shard(int shard) const;
 
   /// The committed record stream, reassembled in device-id order with
   /// `app_begin` rebased to the returned app array — byte-identical to
   /// the producer's original (device, bin)-sorted arrays when nothing
-  /// was shed. Takes all shard locks; call once producers are done.
+  /// was shed. Takes all shard locks, so a mid-stream call returns one
+  /// consistent snapshot.
   struct CommittedStream {
     std::vector<Sample> samples;
     std::vector<AppTraffic> app_traffic;
@@ -179,10 +186,8 @@ class IngestServer {
   IngestConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable std::mutex init_mu_;  // guards begin_/incremental_ setup + pump
+  mutable std::mutex init_mu_;  // guards begin_ and shut_down_
   std::optional<BeginPayload> begin_;
-  std::unique_ptr<analysis::IncrementalAnalysis> incremental_;
-  std::thread pump_;
   bool shut_down_ = false;
 
   // Counters (relaxed: monotonic statistics, no ordering needed).
@@ -190,6 +195,10 @@ class IngestServer {
       sessions_failed_{0}, frames_accepted_{0}, frames_rejected_{0},
       bytes_received_{0}, batches_committed_{0}, records_committed_{0},
       app_records_committed_{0}, batches_shed_{0}, records_shed_{0};
+
+  /// One worker per shard, started by the constructor and joined by
+  /// shutdown(). Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tokyonet::ingest

@@ -180,9 +180,9 @@ void TcpIngestListener::stop() {
     // Unblock accept(): shutdown + close makes accept fail on Linux.
     ::shutdown(impl_->listen_fd, SHUT_RDWR);
     ::close(impl_->listen_fd);
-    impl_->listen_fd = -1;
   }
   if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
+  impl_->listen_fd = -1;  // only after the join: accept_loop reads it
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     threads.swap(impl_->conn_threads);

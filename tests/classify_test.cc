@@ -31,7 +31,7 @@ Dataset overnight_dataset(double presence, std::string essid = "aterm-AB12-g") {
       ++placed;
     }
   }
-  ds.build_index();
+  test::build_index(ds);
   return ds;
 }
 
@@ -84,7 +84,7 @@ TEST(Classify, ProviderEssidIsPublic) {
     add_sample(ds, 0, static_cast<TimeBin>(12 * kBinsPerHour + k), 0, 100,
                WifiState::Associated, ap);
   }
-  ds.build_index();
+  test::build_index(ds);
   const ApClassification cls = classify_aps(ds);
   EXPECT_EQ(cls.class_of(ap), ApClass::Public);
 }
@@ -93,7 +93,7 @@ TEST(Classify, NeverAssociatedApsExcludedFromCounts) {
   Dataset ds = empty_dataset(1, 2);
   (void)add_ap(ds, "0000docomo");
   (void)add_ap(ds, "corp-ap-22");
-  ds.build_index();
+  test::build_index(ds);
   const ApClassification cls = classify_aps(ds);
   const auto counts = cls.counts();
   EXPECT_EQ(counts.total, 0);
@@ -109,7 +109,7 @@ TEST(Classify, WeekdayMiddayApIsOffice) {
                  WifiState::Associated, ap);
     }
   }
-  ds.build_index();
+  test::build_index(ds);
   const ApClassification cls = classify_aps(ds);
   EXPECT_EQ(cls.class_of(ap), ApClass::Other);
   EXPECT_TRUE(cls.is_office[value(ap)]);
@@ -125,7 +125,7 @@ TEST(Classify, WeekendMiddayApIsNotOffice) {
                  WifiState::Associated, ap);
     }
   }
-  ds.build_index();
+  test::build_index(ds);
   const ApClassification cls = classify_aps(ds);
   EXPECT_FALSE(cls.is_office[value(ap)]);
 }
@@ -138,7 +138,7 @@ TEST(Classify, ApSeenAcrossManyCellsIsMobile) {
                            0, 100, WifiState::Associated, ap);
     s.geo_cell = static_cast<GeoCell>(100 + k);  // moving
   }
-  ds.build_index();
+  test::build_index(ds);
   const ApClassification cls = classify_aps(ds);
   EXPECT_TRUE(cls.is_mobile[value(ap)]);
   EXPECT_FALSE(cls.is_office[value(ap)]);
@@ -199,7 +199,7 @@ TEST(Classify, HomeShareTracksOwnership) {
 
 TEST(Classify, EmptyDatasetYieldsEmptyClassification) {
   Dataset ds = empty_dataset(0, 1);
-  ds.build_index();
+  test::build_index(ds);
   const ApClassification cls = classify_aps(ds);
   EXPECT_EQ(cls.counts().total, 0);
   EXPECT_DOUBLE_EQ(cls.home_ap_device_share(), 0.0);

@@ -1,16 +1,16 @@
-// Equivalence tests for the shared DatasetIndex fast paths and the
+// Equivalence tests for the shared DatasetIndex kernels and the
 // memoized AnalysisContext.
 //
-// Contract under test: every kernel converted to scan the index's SoA
-// columns is *byte-identical* to the pre-index serial reference at any
-// thread count. The reference is each kernel's preserved AoS fallback,
-// exercised through an index-free copy of the campaign; the fast path
-// runs at thread counts 1 and 4 and must reproduce it exactly (EXPECT_EQ
-// on doubles, no tolerance).
+// Contract under test: every kernel that scans the index's SoA columns
+// is *byte-identical* to its serial AoS reference (tests/
+// serial_reference.h) at any thread count. The kernel runs at thread
+// counts 1 and 4 and must reproduce the reference exactly (EXPECT_EQ on
+// doubles, no tolerance).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/aggregate.h"
@@ -27,6 +27,7 @@
 #include "core/dataset_index.h"
 #include "core/parallel.h"
 #include "geo/region.h"
+#include "serial_reference.h"
 #include "testutil.h"
 
 namespace tokyonet::analysis {
@@ -36,22 +37,6 @@ using test::add_sample;
 using test::campaign;
 using test::campaign_classification;
 using test::empty_dataset;
-
-/// Member-wise copy of `ds` without the acceleration index. Kernels see
-/// index() == nullptr and take their preserved serial AoS path — the
-/// pre-index reference semantics.
-[[nodiscard]] Dataset unindexed_copy(const Dataset& ds) {
-  Dataset out;
-  out.year = ds.year;
-  out.calendar = ds.calendar;
-  out.devices = ds.devices;
-  out.aps = ds.aps;
-  out.samples = ds.samples;
-  out.app_traffic = ds.app_traffic;
-  out.survey = ds.survey;
-  out.truth = ds.truth;
-  return out;
-}
 
 /// Restores the environment-derived thread count on scope exit.
 struct ThreadCountGuard {
@@ -65,18 +50,14 @@ void expect_profile_eq(const WeeklyProfile& got, const WeeklyProfile& want) {
   EXPECT_EQ(got.den_series(), want.den_series());
 }
 
-/// Runs `kernel` on the serial (unindexed) reference dataset, then on
-/// the indexed campaign at each thread count, handing every result to
-/// `check(got, ref)`.
-template <typename Kernel, typename Check>
-void expect_matches_serial(Year y, Kernel&& kernel, Check&& check) {
+/// Runs the serial `oracle` on the campaign, then `kernel` at each
+/// thread count, handing every result to `check(got, ref)`.
+template <typename Kernel, typename Oracle, typename Check>
+void expect_matches_serial(Year y, Kernel&& kernel, Oracle&& oracle,
+                           Check&& check) {
   ThreadCountGuard guard;
   const Dataset& ds = campaign(y);
-  ASSERT_TRUE(ds.indexed());
-  const Dataset serial = unindexed_copy(ds);
-  ASSERT_FALSE(serial.indexed());
-  core::set_thread_count(1);
-  const auto ref = kernel(serial);
+  const auto ref = oracle(ds);
   for (int threads : kThreadCounts) {
     core::set_thread_count(threads);
     check(kernel(ds), ref);
@@ -89,6 +70,7 @@ TEST(IndexEquivalence, AggregateSeries) {
                      Stream::WifiTx}) {
       expect_matches_serial(
           y, [&](const Dataset& ds) { return aggregate_series(ds, s); },
+          [&](const Dataset& ds) { return serial::aggregate_series(ds, s); },
           [](const HourlySeries& got, const HourlySeries& ref) {
             EXPECT_EQ(got.mbps, ref.mbps);
           });
@@ -106,6 +88,9 @@ TEST(IndexEquivalence, LocationSeries) {
         expect_matches_serial(
             y,
             [&](const Dataset& ds) { return location_series(ds, cls, f, rx); },
+            [&](const Dataset& ds) {
+              return serial::location_series(ds, cls, f, rx);
+            },
             [](const HourlySeries& got, const HourlySeries& ref) {
               EXPECT_EQ(got.mbps, ref.mbps);
             });
@@ -120,6 +105,9 @@ TEST(IndexEquivalence, WifiLocationShares) {
         y,
         [&](const Dataset& ds) {
           return wifi_location_shares(ds, campaign_classification(y));
+        },
+        [&](const Dataset& ds) {
+          return serial::wifi_location_shares(ds, campaign_classification(y));
         },
         [](const WifiLocationShares& got, const WifiLocationShares& ref) {
           EXPECT_EQ(got.home, ref.home);
@@ -136,6 +124,9 @@ TEST(IndexEquivalence, RssiAnalysis) {
         y,
         [&](const Dataset& ds) {
           return rssi_analysis(ds, campaign_classification(y));
+        },
+        [&](const Dataset& ds) {
+          return serial::rssi_analysis(ds, campaign_classification(y));
         },
         [](const RssiAnalysis& got, const RssiAnalysis& ref) {
           EXPECT_EQ(got.home_max_rssi, ref.home_max_rssi);
@@ -155,6 +146,9 @@ TEST(IndexEquivalence, ChannelAnalysis) {
         [&](const Dataset& ds) {
           return channel_analysis(ds, campaign_classification(y));
         },
+        [&](const Dataset& ds) {
+          return serial::channel_analysis(ds, campaign_classification(y));
+        },
         [](const ChannelAnalysis& got, const ChannelAnalysis& ref) {
           EXPECT_EQ(got.home_pmf, ref.home_pmf);
           EXPECT_EQ(got.public_pmf, ref.public_pmf);
@@ -170,6 +164,10 @@ TEST(IndexEquivalence, ChannelInterference) {
         y,
         [&](const Dataset& ds) {
           return channel_interference(ds, campaign_classification(y),
+                                      region.grid().num_cells());
+        },
+        [&](const Dataset& ds) {
+          return serial::channel_interference(ds, campaign_classification(y),
                                       region.grid().num_cells());
         },
         [](const InterferenceAnalysis& got, const InterferenceAnalysis& ref) {
@@ -191,6 +189,10 @@ TEST(IndexEquivalence, ApDensityMap) {
             return ap_density_map(ds, campaign_classification(y), which,
                                   region.grid().num_cells());
           },
+          [&](const Dataset& ds) {
+            return serial::ap_density_map(ds, campaign_classification(y), which,
+                                  region.grid().num_cells());
+          },
           [](const ApDensityMap& got, const ApDensityMap& ref) {
             EXPECT_EQ(got.count_by_cell, ref.count_by_cell);
             EXPECT_EQ(got.cells_with_ap, ref.cells_with_ap);
@@ -205,6 +207,7 @@ TEST(IndexEquivalence, WifiStates) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y, [](const Dataset& ds) { return compute_wifi_states(ds); },
+        [](const Dataset& ds) { return serial::compute_wifi_states(ds); },
         [](const WifiStateProfiles& got, const WifiStateProfiles& ref) {
           expect_profile_eq(got.android_user, ref.android_user);
           expect_profile_eq(got.android_off, ref.android_off);
@@ -218,6 +221,7 @@ TEST(IndexEquivalence, IosWifiUserByCarrier) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y, [](const Dataset& ds) { return ios_wifi_user_by_carrier(ds); },
+        [](const Dataset& ds) { return serial::ios_wifi_user_by_carrier(ds); },
         [](const std::array<double, kNumCarriers>& got,
            const std::array<double, kNumCarriers>& ref) {
           EXPECT_EQ(got, ref);
@@ -229,6 +233,7 @@ TEST(IndexEquivalence, VolumesOverview) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y, [](const Dataset& ds) { return overview(ds); },
+        [](const Dataset& ds) { return serial::overview(ds); },
         [](const DatasetOverview& got, const DatasetOverview& ref) {
           EXPECT_EQ(got.n_android, ref.n_android);
           EXPECT_EQ(got.n_ios, ref.n_ios);
@@ -244,6 +249,9 @@ TEST(IndexEquivalence, AppBreakdown) {
     const std::vector<GeoCell> homes = infer_home_cells(campaign(y));
     expect_matches_serial(
         y, [&](const Dataset& ds) { return app_breakdown(ds, cls, homes); },
+        [&](const Dataset& ds) {
+          return serial::app_breakdown(ds, cls, homes);
+        },
         [](const AppBreakdown& got, const AppBreakdown& ref) {
           EXPECT_EQ(got.rx_share, ref.rx_share);
           EXPECT_EQ(got.tx_share, ref.tx_share);
@@ -264,6 +272,9 @@ TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
   opt.classes = &classes;
   expect_matches_serial(
       y, [&](const Dataset& d) { return app_breakdown(d, cls, homes, opt); },
+      [&](const Dataset& d) {
+        return serial::app_breakdown(d, cls, homes, opt);
+      },
       [](const AppBreakdown& got, const AppBreakdown& ref) {
         EXPECT_EQ(got.rx_share, ref.rx_share);
         EXPECT_EQ(got.tx_share, ref.tx_share);
@@ -274,6 +285,7 @@ TEST(IndexEquivalence, ScanAvailability) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y, [](const Dataset& ds) { return scan_availability(ds); },
+        [](const Dataset& ds) { return serial::scan_availability(ds); },
         [](const ScanAvailability& got, const ScanAvailability& ref) {
           EXPECT_EQ(got.all_24, ref.all_24);
           EXPECT_EQ(got.strong_24, ref.strong_24);
@@ -287,6 +299,7 @@ TEST(IndexEquivalence, BatteryAnalysis) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y, [](const Dataset& ds) { return battery_analysis(ds); },
+        [](const Dataset& ds) { return serial::battery_analysis(ds); },
         [](const BatteryAnalysis& got, const BatteryAnalysis& ref) {
           expect_profile_eq(got.mean_level, ref.mean_level);
           EXPECT_EQ(got.low_share, ref.low_share);
@@ -389,7 +402,7 @@ TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
     add_sample(ds, 0, 0);  // device order violated
     EXPECT_FALSE(ds.build_index());
     EXPECT_FALSE(ds.indexed());
-    EXPECT_EQ(ds.index(), nullptr);
+    EXPECT_THROW((void)ds.index(), std::logic_error);
     EXPECT_FALSE(ds.validate().empty());
   }
   {
@@ -410,58 +423,84 @@ TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
     add_sample(ds, 1, 0);
     EXPECT_TRUE(ds.build_index());
     EXPECT_TRUE(ds.indexed());
-    ASSERT_NE(ds.index(), nullptr);
+    EXPECT_EQ(ds.index().num_samples(), 2u);
   }
+}
+
+// Being indexed is a Dataset invariant with one check: a kernel handed
+// an unindexed dataset throws std::logic_error from Dataset::index(),
+// whichever path it takes to the samples, and never reads past a
+// missing index.
+TEST(DatasetIndexTest, UnindexedDatasetThrowsFromKernels) {
+  Dataset ds = empty_dataset(2, 1);
+  const ApId ap = test::add_ap(ds, "home");
+  add_sample(ds, 0, 0, 1000, 0);
+  add_sample(ds, 1, 0, 0, 1000, WifiState::Associated, ap);
+  ASSERT_FALSE(ds.indexed());
+  const auto expect_throws = [&] {
+    EXPECT_THROW((void)ds.index(), std::logic_error);
+    EXPECT_THROW((void)ds.device_samples(DeviceId{0}), std::logic_error);
+    EXPECT_THROW((void)user_days(ds), std::logic_error);
+    EXPECT_THROW((void)aggregate_series(ds, Stream::CellRx), std::logic_error);
+    EXPECT_THROW((void)compute_wifi_states(ds), std::logic_error);
+    EXPECT_THROW((void)battery_analysis(ds), std::logic_error);
+    EXPECT_THROW((void)infer_home_cells(ds), std::logic_error);
+    EXPECT_THROW((void)classify_aps(ds), std::logic_error);
+  };
+  expect_throws();
+
+  // An index that no longer matches the samples counts as no index.
+  test::build_index(ds);
+  add_sample(ds, 1, 1);
+  ASSERT_FALSE(ds.indexed());
+  expect_throws();
 }
 
 TEST(DatasetIndexTest, RangesAndColumnsMirrorTheSampleStream) {
   const Dataset& ds = campaign(Year::Y2014);
-  const core::DatasetIndex* idx = ds.index();
-  ASSERT_NE(idx, nullptr);
-  ASSERT_EQ(idx->num_samples(), ds.samples.size());
+  const core::DatasetIndex& idx = ds.index();
+  ASSERT_EQ(idx.num_samples(), ds.samples.size());
 
   // Device ranges tile [0, n) and agree with the per-sample device ids;
   // day ranges tile each device range.
   std::size_t expect_begin = 0;
   for (std::size_t d = 0; d < ds.devices.size(); ++d) {
-    EXPECT_EQ(idx->device_begin(d), expect_begin);
-    EXPECT_EQ(idx->day_begin(d, 0), idx->device_begin(d));
-    EXPECT_EQ(idx->day_begin(d, ds.num_days()), idx->device_end(d));
+    EXPECT_EQ(idx.device_begin(d), expect_begin);
+    EXPECT_EQ(idx.day_begin(d, 0), idx.device_begin(d));
+    EXPECT_EQ(idx.day_begin(d, ds.num_days()), idx.device_end(d));
     for (int day = 0; day < ds.num_days(); ++day) {
-      EXPECT_LE(idx->day_begin(d, day), idx->day_begin(d, day + 1));
+      EXPECT_LE(idx.day_begin(d, day), idx.day_begin(d, day + 1));
     }
-    expect_begin = idx->device_end(d);
+    expect_begin = idx.device_end(d);
   }
   EXPECT_EQ(expect_begin, ds.samples.size());
 
   // SoA projections match the AoS fields (spot check a stride).
   for (std::size_t i = 0; i < ds.samples.size(); i += 97) {
     const Sample& s = ds.samples[i];
-    EXPECT_EQ(idx->bin()[i], s.bin);
-    EXPECT_EQ(idx->cell_rx()[i], s.cell_rx);
-    EXPECT_EQ(idx->cell_tx()[i], s.cell_tx);
-    EXPECT_EQ(idx->wifi_rx()[i], s.wifi_rx);
-    EXPECT_EQ(idx->wifi_tx()[i], s.wifi_tx);
-    EXPECT_EQ(idx->ap()[i], value(s.ap));
-    EXPECT_EQ(idx->wifi_state()[i], s.wifi_state);
-    EXPECT_EQ(idx->tech()[i], s.tech);
-    EXPECT_EQ(idx->battery_pct()[i], s.battery_pct);
-    EXPECT_EQ(idx->rssi_dbm()[i], s.rssi_dbm);
-    EXPECT_EQ(idx->geo_cell()[i], s.geo_cell);
-    EXPECT_EQ(idx->app_count()[i], s.app_count);
-    EXPECT_EQ(idx->tethering(i), s.tethering);
-    EXPECT_EQ(idx->scan_pub24_all()[i], s.scan_pub24_all);
-    EXPECT_EQ(idx->scan_pub24_strong()[i], s.scan_pub24_strong);
-    EXPECT_EQ(idx->scan_pub5_all()[i], s.scan_pub5_all);
-    EXPECT_EQ(idx->scan_pub5_strong()[i], s.scan_pub5_strong);
+    EXPECT_EQ(idx.bin()[i], s.bin);
+    EXPECT_EQ(idx.cell_rx()[i], s.cell_rx);
+    EXPECT_EQ(idx.cell_tx()[i], s.cell_tx);
+    EXPECT_EQ(idx.wifi_rx()[i], s.wifi_rx);
+    EXPECT_EQ(idx.wifi_tx()[i], s.wifi_tx);
+    EXPECT_EQ(idx.ap()[i], value(s.ap));
+    EXPECT_EQ(idx.wifi_state()[i], s.wifi_state);
+    EXPECT_EQ(idx.tech()[i], s.tech);
+    EXPECT_EQ(idx.battery_pct()[i], s.battery_pct);
+    EXPECT_EQ(idx.rssi_dbm()[i], s.rssi_dbm);
+    EXPECT_EQ(idx.geo_cell()[i], s.geo_cell);
+    EXPECT_EQ(idx.app_count()[i], s.app_count);
+    EXPECT_EQ(idx.tethering(i), s.tethering);
+    EXPECT_EQ(idx.scan_pub24_all()[i], s.scan_pub24_all);
+    EXPECT_EQ(idx.scan_pub24_strong()[i], s.scan_pub24_strong);
+    EXPECT_EQ(idx.scan_pub5_all()[i], s.scan_pub5_all);
+    EXPECT_EQ(idx.scan_pub5_strong()[i], s.scan_pub5_strong);
   }
 }
 
 TEST(DatasetIndexTest, HourOfWeekTableMatchesWeeklyProfile) {
   const Dataset& ds = campaign(Year::Y2013);
-  const core::DatasetIndex* idx = ds.index();
-  ASSERT_NE(idx, nullptr);
-  const auto table = idx->hour_of_week_table();
+  const auto table = ds.index().hour_of_week_table();
   const int num_bins = ds.num_days() * kBinsPerDay;
   ASSERT_EQ(static_cast<int>(table.size()), num_bins);
   for (int b = 0; b < num_bins; ++b) {

@@ -12,7 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/incremental.h"
+#include "analysis/stream_result.h"
+#include "core/parallel.h"
 #include "ingest/frame.h"
 #include "ingest/queue.h"
 #include "ingest/replay.h"
@@ -28,7 +29,7 @@ using analysis::compare_stream_results;
 using analysis::StreamResult;
 
 /// A 3-device, 2-day dataset with app records, an AP association and a
-/// tethering sample — enough to touch every incremental kernel.
+/// tethering sample — enough to touch every StreamResult field.
 Dataset tiny_dataset() {
   Dataset ds = test::empty_dataset(3, 2);
   const ApId ap = test::add_ap(ds, "home-net");
@@ -55,7 +56,7 @@ Dataset tiny_dataset() {
        .tx_bytes = 10'000});
   test::add_sample(ds, 2, 100, 300'000, 0);
 
-  ds.build_index();
+  test::build_index(ds);
   return ds;
 }
 
@@ -460,12 +461,12 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
   std::vector<std::uint8_t> begin;
   encode_begin(begin_payload_for(ds), begin);
   ASSERT_TRUE(session->feed(begin));
-  ASSERT_NE(server.incremental(), nullptr);
+  ASSERT_TRUE(server.campaign().has_value());
 
   {
     // Freeze the shard: its worker parks on the first commit, so the
     // 1-slot queue fills deterministically and later frames shed.
-    const auto frozen = server.incremental()->freeze_shard(0);
+    const auto frozen = server.freeze_shard(0);
     std::vector<std::uint8_t> frames;
     for (const Sample& s : ds.samples.span()) {
       const std::vector<Sample> one = {s};
@@ -496,7 +497,13 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
 }
 
 TEST(IngestServerTest, ResultIsQueryableMidStream) {
-  const Dataset ds = test::campaign(Year::Y2013);
+  // At 4 analysis threads the mid-stream result() runs its kernels on
+  // the core::parallel pool while the shard workers are live.
+  struct ThreadCountGuard {
+    ~ThreadCountGuard() { core::set_thread_count(0); }
+  } guard;
+  core::set_thread_count(4);
+  const Dataset& ds = test::campaign(Year::Y2013);
   IngestServer server({.shards = 2});
   auto session = server.connect();
 
@@ -511,14 +518,46 @@ TEST(IngestServerTest, ResultIsQueryableMidStream) {
     const IngestCounters c = server.counters();
     return c.batches_committed + c.batches_shed >= at_half.frames_accepted - 1;
   });
-  const StreamResult partial = server.result();
+  std::string error;
+  const StreamResult partial = server.result(&error);
+  EXPECT_EQ(error, "");
   EXPECT_GT(partial.totals.n_samples, 0u);
   EXPECT_LT(partial.totals.n_samples, ds.samples.size());
+  EXPECT_EQ(partial.totals.n_samples, server.counters().records_committed);
 
   ASSERT_TRUE(session->feed({bytes.data() + half, bytes.size() - half}));
   ASSERT_TRUE(session->finish()) << session->error();
   server.shutdown();
-  EXPECT_EQ(server.result().totals.n_samples, ds.samples.size());
+  EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
+            "");
+}
+
+// Two sessions replaying the same devices commit every bin twice, so
+// each device's committed stream runs backwards in time. That is not a
+// campaign: result() comes back empty with the reason, while both
+// sessions, the counters and the committed records stay intact.
+TEST(IngestServerTest, ReplayedDeviceYieldsEmptyResultWithReason) {
+  const Dataset ds = tiny_dataset();
+  IngestServer server({.shards = 2});
+  for (int i = 0; i < 2; ++i) {
+    auto session = server.connect();
+    ASSERT_TRUE(session->feed(encode_stream(ds, 2)));
+    ASSERT_TRUE(session->finish()) << session->error();
+  }
+  server.shutdown();
+
+  const IngestCounters c = server.counters();
+  EXPECT_EQ(c.sessions_closed, 2u);
+  EXPECT_EQ(c.records_committed, 2 * ds.samples.size());
+  EXPECT_EQ(server.collect().samples.size(), 2 * ds.samples.size());
+
+  std::string error;
+  const StreamResult r = server.result(&error);
+  EXPECT_NE(error.find("(device, bin) ordering"), std::string::npos)
+      << error;
+  EXPECT_EQ(r.totals.n_samples, 0u);
+  EXPECT_TRUE(r.user_days.empty());
+  EXPECT_TRUE(r.ap_observations.empty());
 }
 
 // --- The headline invariant: ingest == batch, byte for byte -------------

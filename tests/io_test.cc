@@ -81,15 +81,8 @@ TEST(PrintSeries, SubsamplesLongSeries) {
 
 class CsvRoundTrip : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("tokyonet_csv_test_" + std::to_string(::getpid()));
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  fs::path dir_;
+  test::TempDir tmp_;
+  fs::path dir_ = tmp_.path;
 };
 
 TEST_F(CsvRoundTrip, PreservesObservableData) {

@@ -23,6 +23,7 @@
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
+#include "testutil.h"
 
 namespace tokyonet {
 namespace {
@@ -32,22 +33,7 @@ namespace query = analysis::query;
 
 constexpr double kQueryTestScale = 0.02;
 
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("tokyonet_query_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::TempDir;
 
 /// Restores the environment-derived thread count on scope exit.
 struct ThreadCountGuard {
@@ -117,7 +103,8 @@ TEST(QueryScan, PartialsAreThreadCountInvariant) {
 // An empty campaign is one empty block at base 0: kernels see zero
 // devices/samples and produce their zero shapes without special cases.
 TEST(QuerySource, EmptyDatasetYieldsZeroShapes) {
-  const Dataset ds;  // no devices, no samples, zero-day calendar
+  Dataset ds;  // no devices, no samples, zero-day calendar
+  test::build_index(ds);
   const query::InMemorySource src(ds);
   EXPECT_EQ(src.dataset_or_null(), &ds);
   EXPECT_EQ(src.n_devices(), 0u);
@@ -165,6 +152,7 @@ TEST(QuerySource, SingleDeviceMatchesSerialReference) {
     ds.samples.push_back(s);
     expected[static_cast<std::size_t>(bin / kBinsPerHour)] += s.cell_rx;
   }
+  test::build_index(ds);
 
   const query::InMemorySource src(ds);
   EXPECT_EQ(src.n_devices(), 1u);

@@ -26,7 +26,7 @@ using test::empty_dataset;
 
 TEST(Robustness, EmptyDatasetEverywhere) {
   Dataset ds = empty_dataset(0, 1);
-  ds.build_index();
+  test::build_index(ds);
   const ApClassification cls = classify_aps(ds);
   const auto days = user_days(ds);
   EXPECT_TRUE(days.empty());
@@ -46,7 +46,7 @@ TEST(Robustness, DeviceWithNoSamples) {
   Dataset ds = empty_dataset(3, 2);
   // Only device 1 reports anything (devices 0 and 2 failed to upload).
   add_sample(ds, 1, 0, 1'000'000u, 0);
-  ds.build_index();
+  test::build_index(ds);
   EXPECT_TRUE(ds.device_samples(DeviceId{0}).empty());
   EXPECT_EQ(ds.device_samples(DeviceId{1}).size(), 1u);
   const auto days = user_days(ds);
@@ -63,7 +63,7 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   add_sample(ds, 0, 11, 0, 100, WifiState::Associated, ap);
   // bins 12-19 missing (upload failure)
   add_sample(ds, 0, 20, 0, 100, WifiState::Associated, ap);
-  ds.build_index();
+  test::build_index(ds);
   ApClassification cls = classify_aps(ds);
   const AssociationDurations d = association_durations(ds, cls);
   std::size_t runs =
@@ -75,7 +75,7 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   add_sample(ds2, 0, 10, 0, 100, WifiState::Associated, pub);
   add_sample(ds2, 0, 11, 0, 100, WifiState::Associated, pub);
   add_sample(ds2, 0, 20, 0, 100, WifiState::Associated, pub);
-  ds2.build_index();
+  test::build_index(ds2);
   cls = classify_aps(ds2);
   const AssociationDurations d2 = association_durations(ds2, cls);
   ASSERT_EQ(d2.public_hours.size(), 2u);  // split, not merged
@@ -91,7 +91,7 @@ TEST(Robustness, AllZeroTrafficPopulation) {
       add_sample(ds, dev, static_cast<TimeBin>(b), 0, 0);
     }
   }
-  ds.build_index();
+  test::build_index(ds);
   const auto days = user_days(ds);
   const DailyVolumeStats s = daily_volume_stats(days);
   EXPECT_DOUBLE_EQ(s.median_all, 0.0);
@@ -110,7 +110,7 @@ TEST(Robustness, CapAnalysisNeedsFullLookback) {
   for (int d = 0; d < 3; ++d) {
     add_sample(ds, 0, static_cast<TimeBin>(d * kBinsPerDay), 500'000'000u, 0);
   }
-  ds.build_index();
+  test::build_index(ds);
   const CapAnalysis c = analyze_cap(ds, user_days(ds));
   EXPECT_EQ(c.ratio_capped.size() + c.ratio_others.size(), 0u);
 }
@@ -119,7 +119,7 @@ TEST(Robustness, WeeklyProfilesHandlePartialWeeks) {
   // A 3-day campaign only populates some hours of the weekly frame.
   Dataset ds = empty_dataset(1, 3);
   add_sample(ds, 0, 0, 1'000'000u, 0);
-  ds.build_index();
+  test::build_index(ds);
   const WifiStateProfiles p = compute_wifi_states(ds);
   const auto series = p.android_user.ratio_series();
   EXPECT_EQ(series.size(), static_cast<std::size_t>(WeeklyProfile::kHours));
@@ -127,7 +127,7 @@ TEST(Robustness, WeeklyProfilesHandlePartialWeeks) {
 
 TEST(Robustness, HeatmapIgnoresIdleDays) {
   Dataset ds = empty_dataset(1, 2);
-  ds.build_index();
+  test::build_index(ds);
   std::vector<UserDay> days(2);
   days[0].device = DeviceId{0};
   days[1].device = DeviceId{0};
@@ -140,7 +140,7 @@ TEST(Robustness, HeatmapIgnoresIdleDays) {
 TEST(Robustness, RssiAnalysisWithNoWifi) {
   Dataset ds = empty_dataset(2, 2);
   add_sample(ds, 0, 0, 1'000'000u, 0);
-  ds.build_index();
+  test::build_index(ds);
   const auto cls = classify_aps(ds);
   const RssiAnalysis r = rssi_analysis(ds, cls);
   EXPECT_TRUE(r.home_max_rssi.empty());
@@ -152,7 +152,7 @@ TEST(Robustness, LargeVolumesDoNotOverflowRollups) {
   for (int b = 0; b < 100; ++b) {
     add_sample(ds, 0, static_cast<TimeBin>(b), 4'000'000'000u, 0);
   }
-  ds.build_index();
+  test::build_index(ds);
   const auto days = user_days(ds);
   EXPECT_NEAR(days[0].cell_rx_mb, 400'000.0, 1.0);  // 400 GB day
 }

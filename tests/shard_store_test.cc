@@ -26,6 +26,7 @@
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
+#include "testutil.h"
 
 namespace tokyonet {
 namespace {
@@ -34,23 +35,7 @@ namespace fs = std::filesystem;
 
 constexpr double kShardTestScale = 0.02;
 
-/// Fresh temp directory per test, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("tokyonet_shard_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::TempDir;
 
 std::string read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);

@@ -23,7 +23,7 @@ Dataset dataset_with_pair(std::uint64_t b1, std::uint64_t b2,
   ds.aps[value(b)].bssid = b2;
   add_sample(ds, 0, 60, 0, 100, WifiState::Associated, a);
   add_sample(ds, 0, 61, 0, 100, WifiState::Associated, b);
-  ds.build_index();
+  test::build_index(ds);
   return ds;
 }
 
@@ -68,7 +68,7 @@ TEST(SharedAp, NonPublicIgnored) {
   ds.aps[value(b)].bssid = 0x0017DF000011;
   add_sample(ds, 0, 60, 0, 100, WifiState::Associated, a);
   add_sample(ds, 0, 61, 0, 100, WifiState::Associated, b);
-  ds.build_index();
+  test::build_index(ds);
   const auto cls = classify_aps(ds);
   const SharedApAnalysis s = detect_shared_aps(ds, cls);
   EXPECT_EQ(s.public_aps, 0);

@@ -110,8 +110,8 @@ TEST(Simulator, EmitsDenseIndexedCampaign) {
   // flag must hold, since the columnar kernels take their fixed-stride
   // fast paths from it.
   const Dataset& ds = campaign(Year::Y2015);
-  ASSERT_NE(ds.index(), nullptr);
-  EXPECT_TRUE(ds.index()->dense());
+  ASSERT_TRUE(ds.indexed());
+  EXPECT_TRUE(ds.index().dense());
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {

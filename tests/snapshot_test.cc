@@ -28,23 +28,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh temp directory per test, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("tokyonet_snapshot_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::TempDir;
 
 template <typename T>
 void expect_bytes_equal(std::span<const T> a, std::span<const T> b,
@@ -242,7 +226,7 @@ TEST(Snapshot, AnalysisIdenticalAfterReload) {
 
 TEST(Snapshot, EmptyDatasetRoundTrips) {
   Dataset empty = test::empty_dataset(0, 1);
-  empty.build_index();
+  test::build_index(empty);
   TempDir tmp;
   const fs::path file = tmp.path / "empty.tksnap";
   ASSERT_TRUE(io::save_snapshot(empty, file).ok());
@@ -267,7 +251,7 @@ fs::path make_small_snapshot(const fs::path& dir) {
   test::add_sample(ds, 0, 0, 1000);
   test::add_sample(ds, 0, 1, 0, 2000, WifiState::Associated, ap);
   test::add_sample(ds, 1, 5, 500);
-  ds.build_index();
+  test::build_index(ds);
   const fs::path file = dir / "small.tksnap";
   const io::SnapshotResult r = io::save_snapshot(ds, file);
   EXPECT_TRUE(r.ok()) << r.error;

@@ -1,9 +1,14 @@
 // Shared test fixtures: cached small-scale campaign datasets (simulating
 // a campaign is deterministic but not free, so tests share one instance
-// per year) and helpers for building tiny synthetic datasets by hand.
+// per year), helpers for building tiny synthetic datasets by hand, and a
+// per-test scratch directory.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "analysis/classify.h"
 #include "core/records.h"
@@ -37,7 +42,7 @@ inline const analysis::ApClassification& campaign_classification(Year year) {
 }
 
 /// A minimal hand-built dataset: `num_devices` devices, `num_days` days,
-/// no samples (callers append samples then call build_index()).
+/// no samples (callers append samples then call test::build_index()).
 inline Dataset empty_dataset(int num_devices, int num_days,
                              Year year = Year::Y2015) {
   Dataset ds;
@@ -84,5 +89,41 @@ inline ApId add_ap(Dataset& ds, std::string essid, Band band = Band::B24GHz,
   ds.truth.aps.push_back(ApTruth{});
   return ApId{static_cast<std::uint32_t>(ds.aps.size() - 1)};
 }
+
+/// Indexes a hand-built dataset. Every dataset that reaches an analysis
+/// kernel must be indexed (Dataset::index() throws otherwise), so
+/// fixtures go through this one helper, which fails the test when
+/// build_index() refuses the samples.
+inline void build_index(Dataset& ds) {
+  ASSERT_TRUE(ds.build_index()) << ds.validate();
+}
+
+/// A fresh, empty scratch directory for the running test, removed on
+/// scope exit. The name carries the process id and the test's suite and
+/// name, so ctest entries that run the same test in parallel processes
+/// (e.g. at different thread counts) never share or delete each
+/// other's files.
+struct TempDir {
+  std::filesystem::path path;
+
+  TempDir() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = "tokyonet_" + std::to_string(::getpid()) + "_" +
+                       info->test_suite_name() + "_" + info->name();
+    for (char& c : name) {
+      if (c == '/') c = '_';  // parameterized suites and tests
+    }
+    path = std::filesystem::temp_directory_path() / name;
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+};
 
 }  // namespace tokyonet::test

@@ -26,7 +26,7 @@ TEST(UpdateDetect, FindsSyntheticBurst) {
     add_sample(ds, 1, static_cast<TimeBin>(start + k), 0, 150'000'000u,
                WifiState::Associated, kNoAp);
   }
-  ds.build_index();
+  test::build_index(ds);
   const UpdateDetection det = detect_updates(ds, detect_2015());
   EXPECT_EQ(det.num_ios, 1);
   EXPECT_EQ(det.num_updated, 1);
@@ -41,7 +41,7 @@ TEST(UpdateDetect, SlowAccumulationNotDetected) {
     add_sample(ds, 1, static_cast<TimeBin>(10 * kBinsPerDay + k), 0,
                4'200'000u, WifiState::Associated, kNoAp);
   }
-  ds.build_index();
+  test::build_index(ds);
   const UpdateDetection det = detect_updates(ds, detect_2015());
   EXPECT_EQ(det.num_updated, 0);
 }
@@ -52,7 +52,7 @@ TEST(UpdateDetect, BurstBeforeMinDayIgnored) {
     add_sample(ds, 1, static_cast<TimeBin>(2 * kBinsPerDay + k), 0,
                150'000'000u, WifiState::Associated, kNoAp);
   }
-  ds.build_index();
+  test::build_index(ds);
   EXPECT_EQ(detect_updates(ds, detect_2015()).num_updated, 0);
   // Without the hint it is detected.
   EXPECT_EQ(detect_updates(ds).num_updated, 1);
@@ -64,7 +64,7 @@ TEST(UpdateDetect, CellularBurstDoesNotCount) {
     add_sample(ds, 1, static_cast<TimeBin>(10 * kBinsPerDay + k),
                150'000'000u, 0, WifiState::Off, kNoAp);
   }
-  ds.build_index();
+  test::build_index(ds);
   EXPECT_EQ(detect_updates(ds, detect_2015()).num_updated, 0);
 }
 

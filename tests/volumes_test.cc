@@ -54,7 +54,7 @@ TEST(UserDays, UpdateDaysExcluded) {
   for (int d = 0; d < 5; ++d) {
     add_sample(ds, 0, static_cast<TimeBin>(d * kBinsPerDay), 1'000'000u, 0);
   }
-  ds.build_index();
+  test::build_index(ds);
   std::vector<std::int32_t> update_bins{2 * kBinsPerDay};  // update on day 2
   UserDayOptions opt;
   opt.update_bin_by_device = &update_bins;
@@ -67,7 +67,7 @@ TEST(UserDays, UpdateDaysExcluded) {
 
 TEST(UserClassifier, BoundariesFromPercentiles) {
   Dataset ds = empty_dataset(1, 1);
-  ds.build_index();
+  test::build_index(ds);
   std::vector<UserDay> days;
   for (int i = 1; i <= 100; ++i) {
     UserDay d;
@@ -148,7 +148,7 @@ TEST(DailyVolumes, WifiOvertakesCellularByMedianIn2015) {
 
 TEST(DailyVolumes, MinTotalFilterApplies) {
   Dataset ds = empty_dataset(1, 1);
-  ds.build_index();
+  test::build_index(ds);
   std::vector<UserDay> days(3);
   days[0].cell_rx_mb = 0.05;  // below the 0.1 MB cut
   days[1].cell_rx_mb = 10;

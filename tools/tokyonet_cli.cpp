@@ -69,7 +69,8 @@
 //   tokyonet ingest serve --port P [--host H] [--shards N] [--queue N]
 //                         [--shed] [--sessions N]
 //       Run a TCP ingest server until N sessions have ended, then print
-//       the incremental analysis summary and counters.
+//       the counters and the stream summary (analysis/stream_result.h)
+//       of the committed records.
 //
 //   tokyonet ingest replay --year Y --port P [--host H] [--scale S]
 //                          [--seed N] [--rate R] [--batch B]
@@ -80,13 +81,14 @@
 //                         [--queue N] [--shed] [--rate R] [--batch B]
 //                         [--multiplier M] [--no-verify]
 //       Loopback replay: stream a campaign through an in-process ingest
-//       server, print throughput/counters, and verify the incremental
-//       results are byte-identical to the batch kernels.
+//       server, print throughput/counters, and verify that the stream
+//       summary of the committed records is byte-identical to the
+//       summary of the replayed campaign.
 //
 // Exit codes: 0 success; 1 runtime failure; 2 bad usage or malformed
 // flags; 3 load/IO failure (missing input, unreadable file); 4
-// verification failure (golden mismatch, corrupt snapshot, incremental
-// != batch).
+// verification failure (golden mismatch, corrupt snapshot, ingested
+// stream summary != batch).
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -101,7 +103,7 @@
 #include <thread>
 #include <utility>
 
-#include "analysis/incremental.h"
+#include "analysis/stream_result.h"
 #include "analysis/query/source.h"
 #include "ingest/replay.h"
 #include "ingest/server.h"
@@ -979,8 +981,11 @@ void print_ingest_summary(const ingest::IngestServer& server) {
               c.batches_committed, c.records_committed,
               c.app_records_committed, c.batches_shed, c.records_shed);
 
-  const analysis::StreamResult r = server.result();
-  if (r.totals.n_samples > 0) {
+  std::string error;
+  const analysis::StreamResult r = server.result(&error);
+  if (!error.empty()) {
+    std::printf("stream:   no summary: %s\n", error.c_str());
+  } else if (r.totals.n_samples > 0) {
     const double gb = 1024.0 * 1024.0 * 1024.0;
     std::printf("stream:   %" PRIu64 " samples; cellular %.2f GB down, "
                 "WiFi %.2f GB down; WiFi-traffic ratio %.2f\n",
@@ -1090,7 +1095,7 @@ int cmd_ingest_stats(const Args& args) {
     const std::string diff = analysis::compare_stream_results(
         server.result(), analysis::batch_stream_result(ds));
     if (diff.empty()) {
-      std::printf("verify:   incremental == batch (byte-identical)\n");
+      std::printf("verify:   ingested == batch (byte-identical)\n");
     } else {
       std::fprintf(stderr, "verify: MISMATCH: %s\n", diff.c_str());
       rc = kExitVerify;
