@@ -11,7 +11,8 @@ void BM_UserTypeStats(benchmark::State& state) {
   const Dataset& ds = bench::campaign(Year::Y2015);
   const auto& days = bench::days(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::user_type_stats(ds, days));
+    benchmark::DoNotOptimize(
+        analysis::user_type_stats(ds.devices.size(), days));
   }
 }
 BENCHMARK(BM_UserTypeStats)->Unit(benchmark::kMillisecond);

@@ -8,9 +8,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_WifiStates(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::compute_wifi_states(ds));
+    benchmark::DoNotOptimize(analysis::compute_wifi_states(src));
   }
 }
 BENCHMARK(BM_WifiStates)->Unit(benchmark::kMillisecond);

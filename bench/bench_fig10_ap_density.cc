@@ -9,12 +9,12 @@ namespace {
 using namespace tokyonet;
 
 void BM_DensityMap(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   const auto& cls = bench::classification(Year::Y2015);
   const geo::TokyoRegion region;
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::ap_density_map(
-        ds, cls, ApClass::Public, region.grid().num_cells()));
+        src, cls, ApClass::Public, region.grid().num_cells()));
   }
 }
 BENCHMARK(BM_DensityMap)->Unit(benchmark::kMillisecond);

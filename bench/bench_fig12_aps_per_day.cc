@@ -8,11 +8,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_ApsPerDay(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   const auto& days = bench::days(Year::Y2015);
   const analysis::UserClassifier& classes = bench::classifier(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::aps_per_day(ds, days, classes));
+    benchmark::DoNotOptimize(analysis::aps_per_day(src, days, classes));
   }
 }
 BENCHMARK(BM_ApsPerDay)->Unit(benchmark::kMillisecond);

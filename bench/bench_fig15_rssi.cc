@@ -8,10 +8,10 @@ namespace {
 using namespace tokyonet;
 
 void BM_RssiAnalysis(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   const auto& cls = bench::classification(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::rssi_analysis(ds, cls));
+    benchmark::DoNotOptimize(analysis::rssi_analysis(src, cls));
   }
 }
 BENCHMARK(BM_RssiAnalysis)->Unit(benchmark::kMillisecond);

@@ -10,17 +10,17 @@ namespace {
 using namespace tokyonet;
 
 void BM_ScanAvailability(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::scan_availability(ds));
+    benchmark::DoNotOptimize(analysis::scan_availability(src));
   }
 }
 BENCHMARK(BM_ScanAvailability)->Unit(benchmark::kMillisecond);
 
 void BM_OffloadOpportunity(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::offload_opportunity(ds));
+    benchmark::DoNotOptimize(analysis::offload_opportunity(src));
   }
 }
 BENCHMARK(BM_OffloadOpportunity)->Unit(benchmark::kMillisecond);

@@ -22,7 +22,8 @@ void BM_UpdateTiming(benchmark::State& state) {
   const auto& det = bench::updates(Year::Y2015);
   const auto& cls = bench::classification(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::analyze_update_timing(ds, det, cls));
+    benchmark::DoNotOptimize(
+        analysis::analyze_update_timing(ds.devices, det, cls));
   }
 }
 BENCHMARK(BM_UpdateTiming)->Unit(benchmark::kMicrosecond);

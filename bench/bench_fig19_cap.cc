@@ -12,7 +12,7 @@ void BM_CapAnalysis(benchmark::State& state) {
   const Dataset& ds = bench::campaign(Year::Y2015);
   const auto& days = bench::days(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::analyze_cap(ds, days));
+    benchmark::DoNotOptimize(analysis::analyze_cap(ds.devices.size(), days));
   }
 }
 BENCHMARK(BM_CapAnalysis)->Unit(benchmark::kMillisecond);

@@ -8,9 +8,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_Overview2015(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::overview(ds));
+    benchmark::DoNotOptimize(analysis::overview(src));
   }
 }
 BENCHMARK(BM_Overview2015)->Unit(benchmark::kMillisecond);

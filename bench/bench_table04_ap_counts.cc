@@ -6,9 +6,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_ClassifyAps(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::classify_aps(ds));
+    benchmark::DoNotOptimize(analysis::classify_aps(src));
   }
 }
 BENCHMARK(BM_ClassifyAps)->Unit(benchmark::kMillisecond)->Iterations(3);

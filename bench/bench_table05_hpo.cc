@@ -8,10 +8,10 @@ namespace {
 using namespace tokyonet;
 
 void BM_HpoBreakdown(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   const auto& cls = bench::classification(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::hpo_breakdown(ds, cls));
+    benchmark::DoNotOptimize(analysis::hpo_breakdown(src, cls));
   }
 }
 BENCHMARK(BM_HpoBreakdown)->Unit(benchmark::kMillisecond)->Iterations(5);

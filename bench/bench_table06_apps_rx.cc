@@ -8,11 +8,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_AppBreakdown(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   const auto& cls = bench::classification(Year::Y2015);
   const auto& home_cells = bench::home_cells(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::app_breakdown(ds, cls, home_cells));
+    benchmark::DoNotOptimize(analysis::app_breakdown(src, cls, home_cells));
   }
 }
 BENCHMARK(BM_AppBreakdown)->Unit(benchmark::kMillisecond);

@@ -7,9 +7,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_SurveyApUsage(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::survey_ap_usage(ds));
+    benchmark::DoNotOptimize(analysis::survey_ap_usage(src));
   }
 }
 BENCHMARK(BM_SurveyApUsage)->Unit(benchmark::kMicrosecond);

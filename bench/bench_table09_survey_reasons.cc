@@ -8,9 +8,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_SurveyReasons(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const analysis::query::DataSource& src = bench::source(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::survey_reasons(ds));
+    benchmark::DoNotOptimize(analysis::survey_reasons(src));
   }
 }
 BENCHMARK(BM_SurveyReasons)->Unit(benchmark::kMicrosecond);

@@ -62,6 +62,10 @@ const analysis::AnalysisContext& context(Year year) {
   return runner().analysis(year);
 }
 
+const analysis::query::DataSource& source(Year year) {
+  return context(year).source();
+}
+
 const analysis::ApClassification& classification(Year year) {
   return context(year).classification();
 }

@@ -41,6 +41,10 @@ namespace tokyonet::bench {
 /// update detection) is computed at most once per bench binary.
 [[nodiscard]] const analysis::AnalysisContext& context(Year year);
 
+/// The query::DataSource every analysis kernel reads campaign(year)
+/// through (context(year).source()).
+[[nodiscard]] const analysis::query::DataSource& source(Year year);
+
 /// Cached AP classification for the bench campaign.
 [[nodiscard]] const analysis::ApClassification& classification(Year year);
 

@@ -11,6 +11,7 @@
 #include "analysis/aggregate.h"
 #include "analysis/availability.h"
 #include "analysis/classify.h"
+#include "analysis/query/source.h"
 #include "analysis/offload.h"
 #include "analysis/ratios.h"
 #include "analysis/usertype.h"
@@ -39,31 +40,34 @@ int main(int argc, char** argv) {
 
   for (Year year : kAllYears) {
     const Dataset ds = sim::simulate_year(year, scale);
+    // Kernels read a campaign through a query::DataSource; this one
+    // serves the resident dataset (a ShardedSource would stream shards).
+    const analysis::query::InMemorySource src(ds);
     const auto days = analysis::user_days(ds);
-    const analysis::ApClassification cls = analysis::classify_aps(ds);
+    const analysis::ApClassification cls = analysis::classify_aps(src);
     const analysis::UserClassifier classes(days);
 
     const double wifi =
-        analysis::aggregate_series(ds, analysis::Stream::WifiRx).total_mb();
+        analysis::aggregate_series(src, analysis::Stream::WifiRx).total_mb();
     const double cell =
-        analysis::aggregate_series(ds, analysis::Stream::CellRx).total_mb();
+        analysis::aggregate_series(src, analysis::Stream::CellRx).total_mb();
     rows[0].push_back(io::TextTable::pct(wifi / (wifi + cell), 0));
 
-    const auto ratios = analysis::compute_wifi_ratios(ds, days, classes);
+    const auto ratios = analysis::compute_wifi_ratios(src, days, classes);
     rows[1].push_back(io::TextTable::pct(ratios.traffic_all.mean_ratio(), 0));
     rows[2].push_back(io::TextTable::pct(ratios.users_all.mean_ratio(), 0));
 
-    const auto types = analysis::user_type_stats(ds, days);
+    const auto types = analysis::user_type_stats(src.n_devices(), days);
     rows[3].push_back(io::TextTable::pct(types.cellular_intensive_frac, 0));
     rows[4].push_back(io::TextTable::pct(types.mixed_above_diagonal_frac, 0));
 
-    const auto shares = analysis::wifi_location_shares(ds, cls);
+    const auto shares = analysis::wifi_location_shares(src, cls);
     rows[5].push_back(io::TextTable::pct(shares.home, 0));
 
-    const auto impact = analysis::offload_impact(ds, days, cls);
+    const auto impact = analysis::offload_impact(src, days, cls);
     rows[6].push_back(io::TextTable::pct(impact.est_rbb_share, 0));
 
-    const auto opportunity = analysis::offload_opportunity(ds);
+    const auto opportunity = analysis::offload_opportunity(src);
     rows[7].push_back(
         io::TextTable::pct(opportunity.users_with_stable_opportunity, 0));
     rows[8].push_back(

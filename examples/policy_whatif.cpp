@@ -26,7 +26,8 @@ PolicyResult run_policy(std::string name, ScenarioConfig config) {
   const Dataset ds = sim::Simulator(config).run();
   const auto days = analysis::user_days(ds);
   return PolicyResult{std::move(name),
-                      analysis::analyze_cap(ds, days, config.cap.threshold_mb),
+                      analysis::analyze_cap(ds.devices.size(), days,
+                                            config.cap.threshold_mb),
                       analysis::daily_volume_stats(days)};
 }
 

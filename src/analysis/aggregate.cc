@@ -33,10 +33,8 @@ void add_hour_sums(std::vector<std::uint64_t>& acc,
   return {};
 }
 
-}  // namespace
-
-std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
-                                               Stream stream) {
+[[nodiscard]] std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
+                                                             Stream stream) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
 
   const core::DatasetIndex& idx = ds.index();
@@ -76,7 +74,8 @@ std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
   return total;
 }
 
-AllStreamSums aggregate_all_streams(const Dataset& ds) {
+// One block's AllStreamSums.
+[[nodiscard]] AllStreamSums all_stream_sums(const Dataset& ds) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
   AllStreamSums out;
   for (auto& sums : out.hour_sums) sums.assign(n_hours, 0);
@@ -152,7 +151,8 @@ AllStreamSums aggregate_all_streams(const Dataset& ds) {
   return out;
 }
 
-HourlySeries hourly_series_from_sums(std::span<const std::uint64_t> sums) {
+[[nodiscard]] HourlySeries hourly_series_from_sums(
+    std::span<const std::uint64_t> sums) {
   HourlySeries out;
   out.mbps.resize(sums.size());
   for (std::size_t h = 0; h < sums.size(); ++h) {
@@ -160,12 +160,6 @@ HourlySeries hourly_series_from_sums(std::span<const std::uint64_t> sums) {
   }
   return out;
 }
-
-HourlySeries aggregate_series(const Dataset& ds, Stream stream) {
-  return hourly_series_from_sums(aggregate_hour_sums(ds, stream));
-}
-
-namespace {
 
 // The exact per-hour byte sums behind location_series(). All
 // accumulation is u64 (the serial reference sums u32 byte counts into
@@ -244,45 +238,38 @@ namespace {
   return total;
 }
 
-}  // namespace
-
-HourlySeries location_series(const Dataset& ds, const ApClassification& cls,
-                             LocationFilter filter, bool rx) {
-  return hourly_series_from_sums(location_hour_sums(ds, cls, filter, rx));
+// Sums per-block hour-sum vectors in block order; u64 addition is
+// associative, so any block partition gives the in-memory sums.
+template <typename Scan>
+[[nodiscard]] std::vector<std::uint64_t> reduce_hour_sums(
+    const query::DataSource& src, Scan&& scan) {
+  return src.reduce<std::vector<std::uint64_t>>(
+      [&](const Dataset& block, std::size_t) { return scan(block); },
+      [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& p) {
+        add_hour_sums(acc, p);
+      });
 }
+
+}  // namespace
 
 HourlySeries location_series(const query::DataSource& src,
                              const ApClassification& cls, LocationFilter filter,
                              bool rx) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return location_series(*ds, cls, filter, rx);
-  }
   // Shard samples reference the global AP universe, so the per-AP keep
   // table is the same in every block; hour sums are u64 and add.
-  std::vector<std::uint64_t> total(
-      static_cast<std::size_t>(src.num_days()) * 24, 0);
-  src.fold<std::vector<std::uint64_t>>(
-      [&](const Dataset& block, std::size_t) {
+  return hourly_series_from_sums(
+      reduce_hour_sums(src, [&](const Dataset& block) {
         return location_hour_sums(block, cls, filter, rx);
-      },
-      [&](std::vector<std::uint64_t>&& p, std::size_t) {
-        add_hour_sums(total, p);
-      });
-  return hourly_series_from_sums(total);
+      }));
 }
 
-WeekSplit weekday_weekend_split(const Dataset& ds, Stream stream) {
-  return weekday_weekend_split(aggregate_series(ds, stream), ds.calendar,
-                               ds.num_days());
-}
-
-WeekSplit weekday_weekend_split(const HourlySeries& series,
-                                const CampaignCalendar& cal, int num_days) {
+WeekSplit HourlySeries::week_split(const CampaignCalendar& cal) const {
   double wd = 0, we = 0;
   int wd_n = 0, we_n = 0;
+  const auto num_days = static_cast<int>(mbps.size() / 24);
   for (int day = 0; day < num_days; ++day) {
     for (int hour = 0; hour < 24; ++hour) {
-      const double v = series.mbps[static_cast<std::size_t>(day * 24 + hour)];
+      const double v = mbps[static_cast<std::size_t>(day * 24 + hour)];
       if (cal.is_weekend_day(day)) {
         we += v;
         ++we_n;
@@ -378,16 +365,8 @@ namespace {
 
 }  // namespace
 
-WifiLocationShares wifi_location_shares(const Dataset& ds,
-                                        const ApClassification& cls) {
-  return wifi_location_shares_from_sums(wifi_location_sums(ds, cls));
-}
-
 WifiLocationShares wifi_location_shares(const query::DataSource& src,
                                         const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return wifi_location_shares(*ds, cls);
-  }
   return wifi_location_shares_from_sums(
       src.reduce<std::array<std::uint64_t, 4>>(
           [&](const Dataset& block, std::size_t) {
@@ -400,48 +379,30 @@ WifiLocationShares wifi_location_shares(const query::DataSource& src,
 }
 
 HourlySeries aggregate_series(const query::DataSource& src, Stream stream) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return aggregate_series(*ds, stream);
-  }
-  std::vector<std::uint64_t> total(
-      static_cast<std::size_t>(src.num_days()) * 24, 0);
-  src.fold<std::vector<std::uint64_t>>(
-      [&](const Dataset& block, std::size_t) {
+  return hourly_series_from_sums(
+      reduce_hour_sums(src, [&](const Dataset& block) {
         return aggregate_hour_sums(block, stream);
-      },
-      [&](std::vector<std::uint64_t>&& p, std::size_t) {
-        add_hour_sums(total, p);
-      });
-  return hourly_series_from_sums(total);
+      }));
+}
+
+HourlySeries AllStreamSums::series(Stream stream) const {
+  return hourly_series_from_sums(hour_sums[static_cast<std::size_t>(stream)]);
 }
 
 AllStreamSums aggregate_all_streams(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return aggregate_all_streams(*ds);
-  }
-  AllStreamSums total;
-  const auto n_hours = static_cast<std::size_t>(src.num_days()) * 24;
-  for (auto& sums : total.hour_sums) sums.assign(n_hours, 0);
-  src.fold<AllStreamSums>(
-      [&](const Dataset& block, std::size_t) {
-        return aggregate_all_streams(block);
-      },
-      [&](AllStreamSums&& p, std::size_t) {
+  return src.reduce<AllStreamSums>(
+      [](const Dataset& block, std::size_t) { return all_stream_sums(block); },
+      [](AllStreamSums& acc, AllStreamSums&& p) {
         for (int s = 0; s < 4; ++s) {
-          add_hour_sums(total.hour_sums[s], p.hour_sums[s]);
+          add_hour_sums(acc.hour_sums[s], p.hour_sums[s]);
         }
-        total.lte.lte += p.lte.lte;
-        total.lte.total += p.lte.total;
+        acc.lte.lte += p.lte.lte;
+        acc.lte.total += p.lte.total;
       });
-  return total;
 }
 
 WeekSplit weekday_weekend_split(const query::DataSource& src, Stream stream) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return weekday_weekend_split(*ds, stream);
-  }
-  return weekday_weekend_split(aggregate_series(src, stream), src.calendar(),
-                               src.num_days());
+  return aggregate_series(src, stream).week_split(src.calendar());
 }
 
 }  // namespace tokyonet::analysis

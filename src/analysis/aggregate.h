@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +13,12 @@
 
 namespace tokyonet::analysis {
 
+/// §3.1: cellular traffic is smaller on weekends, WiFi the opposite.
+struct WeekSplit {
+  double weekday_mbps = 0;  // mean rate over weekday hours
+  double weekend_mbps = 0;
+};
+
 /// Mbps per one-hour bin across the campaign.
 struct HourlySeries {
   std::vector<double> mbps;  // size = num_days * 24
@@ -23,6 +28,9 @@ struct HourlySeries {
     for (double v : mbps) sum += v;
     return sum * 3600.0 / 8.0;  // Mbps-hours back to MB
   }
+
+  /// Mean weekday vs weekend rate over the campaign's days.
+  [[nodiscard]] WeekSplit week_split(const CampaignCalendar& cal) const;
 };
 
 /// Which traffic stream to aggregate.
@@ -34,36 +42,24 @@ enum class Stream : std::uint8_t {
 };
 
 /// Fig 2: one aggregated series per stream.
-[[nodiscard]] HourlySeries aggregate_series(const Dataset& ds, Stream stream);
 [[nodiscard]] HourlySeries aggregate_series(const query::DataSource& src,
                                             Stream stream);
 
-/// The exact per-hour byte sums behind aggregate_series(). Exposed so
-/// out-of-core scans can accumulate shard partials as integers — u64
-/// addition is associative, so summing per-shard hour sums and
-/// converting once reproduces the in-memory series byte-identically at
-/// any shard count.
-[[nodiscard]] std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
-                                                             Stream stream);
-
-/// The Mbps conversion aggregate_series() applies to its hour sums.
-[[nodiscard]] HourlySeries hourly_series_from_sums(
-    std::span<const std::uint64_t> sums);
-
 /// Every per-stream hour-sum vector plus the LTE byte sums, from one
 /// fused pass over the traffic columns. Byte-identical to four
-/// aggregate_hour_sums() calls and one lte_traffic_sums() call — all
+/// aggregate_series() calls and overview()'s LTE sums — all
 /// accumulators are exact u64 sums, so fusing the loops changes only
 /// the order of associative additions — at roughly a quarter of the
-/// column traffic. The out-of-core backend is the hot caller: it pays
-/// this pass once per shard.
+/// column traffic.
 struct AllStreamSums {
   /// Indexed by Stream (CellRx, CellTx, WifiRx, WifiTx).
   std::vector<std::uint64_t> hour_sums[4];
   LteTrafficSums lte;
+
+  /// The Mbps series aggregate_series() returns for `stream`.
+  [[nodiscard]] HourlySeries series(Stream stream) const;
 };
 
-[[nodiscard]] AllStreamSums aggregate_all_streams(const Dataset& ds);
 [[nodiscard]] AllStreamSums aggregate_all_streams(const query::DataSource& src);
 
 /// Fig 11: WiFi traffic restricted to APs of one inferred class
@@ -73,31 +69,14 @@ struct LocationFilter {
   bool office_only = false;  // only meaningful with ApClass::Other
 };
 
-[[nodiscard]] HourlySeries location_series(const Dataset& ds,
-                                           const ApClassification& cls,
-                                           LocationFilter filter,
-                                           bool rx);
 [[nodiscard]] HourlySeries location_series(const query::DataSource& src,
                                            const ApClassification& cls,
                                            LocationFilter filter,
                                            bool rx);
 
-/// §3.1: cellular traffic is smaller on weekends, WiFi the opposite.
-struct WeekSplit {
-  double weekday_mbps = 0;  // mean rate over weekday hours
-  double weekend_mbps = 0;
-};
-
-[[nodiscard]] WeekSplit weekday_weekend_split(const Dataset& ds,
-                                              Stream stream);
+/// §3.1's weekday/weekend split of one stream.
 [[nodiscard]] WeekSplit weekday_weekend_split(const query::DataSource& src,
                                               Stream stream);
-
-/// As above, over an already-computed series (the out-of-core path has
-/// the series but no in-memory Dataset).
-[[nodiscard]] WeekSplit weekday_weekend_split(const HourlySeries& series,
-                                              const CampaignCalendar& cal,
-                                              int num_days);
 
 /// Share summary used in §3.4.1: home / public / office share of total
 /// WiFi volume (95% / ~4% in the paper).
@@ -108,8 +87,6 @@ struct WifiLocationShares {
   double other = 0;  // non-office remainder of Other
 };
 
-[[nodiscard]] WifiLocationShares wifi_location_shares(
-    const Dataset& ds, const ApClassification& cls);
 [[nodiscard]] WifiLocationShares wifi_location_shares(
     const query::DataSource& src, const ApClassification& cls);
 

@@ -224,22 +224,10 @@ struct AppPartial {
 
 }  // namespace
 
-AppBreakdown app_breakdown(const Dataset& ds, const ApClassification& cls,
-                           const std::vector<GeoCell>& home_cells,
-                           const AppBreakdownOptions& opt) {
-  const std::vector<bool> include_day = light_day_table(
-      ds.devices.size(), static_cast<std::size_t>(ds.num_days()), opt);
-  return app_breakdown_finalize(app_breakdown_sums(
-      ds, cls, home_cells, include_day, opt.light_users_only, 0));
-}
-
 AppBreakdown app_breakdown(const query::DataSource& src,
                            const ApClassification& cls,
                            const std::vector<GeoCell>& home_cells,
                            const AppBreakdownOptions& opt) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return app_breakdown(*ds, cls, home_cells, opt);
-  }
   const std::vector<bool> include_day = light_day_table(
       src.n_devices(), static_cast<std::size_t>(src.num_days()), opt);
   return app_breakdown_finalize(src.reduce<AppPartial>(

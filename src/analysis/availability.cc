@@ -11,8 +11,10 @@
 #include "stats/simd.h"
 
 namespace tokyonet::analysis {
+namespace {
 
-ScanAvailability scan_availability(const Dataset& ds) {
+// One block's scan-count series, in (device, bin) order.
+[[nodiscard]] ScanAvailability block_scan_availability(const Dataset& ds) {
   ScanAvailability out;
 
   const core::DatasetIndex& idx = ds.index();
@@ -61,7 +63,17 @@ ScanAvailability scan_availability(const Dataset& ds) {
   return out;
 }
 
-std::vector<OffloadDeviceMetrics> offload_device_metrics(const Dataset& ds) {
+/// One device's §3.5 tallies — a pure function of that device's stream,
+/// so per-block vectors concatenate in device order.
+struct OffloadDeviceMetrics {
+  bool counted = false;  // Android with >= 1 sample
+  std::size_t n = 0;
+  std::size_t unassoc = 0, unassoc_strong = 0;
+  double cell_rx_total = 0, cell_rx_covered = 0;
+};
+
+[[nodiscard]] std::vector<OffloadDeviceMetrics> offload_device_metrics(
+    const Dataset& ds) {
   // Per-device metrics, computed in parallel over the index. Byte
   // totals accumulate as exact u64 sums and convert to MB once per
   // device, so every partial is grouping-independent and the
@@ -98,7 +110,7 @@ std::vector<OffloadDeviceMetrics> offload_device_metrics(const Dataset& ds) {
       });
 }
 
-OffloadOpportunity offload_opportunity_from_metrics(
+[[nodiscard]] OffloadOpportunity offload_opportunity_from_metrics(
     const std::vector<OffloadDeviceMetrics>& metrics,
     const OpportunityOptions& opt) {
   OffloadOpportunity out;
@@ -132,50 +144,30 @@ OffloadOpportunity offload_opportunity_from_metrics(
   return out;
 }
 
-OffloadOpportunity offload_opportunity(const Dataset& ds,
-                                       const OpportunityOptions& opt) {
-  return offload_opportunity_from_metrics(offload_device_metrics(ds), opt);
-}
+}  // namespace
 
 ScanAvailability scan_availability(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return scan_availability(*ds);
-  // Per-shard series are emitted in (device, bin) order, so appending
-  // them in shard order reproduces the in-memory emission order.
-  ScanAvailability out;
-  src.fold<ScanAvailability>(
+  // Per-block series are emitted in (device, bin) order, so appending
+  // them in block order reproduces the whole-campaign emission order.
+  return src.reduce<ScanAvailability>(
       [](const Dataset& block, std::size_t) {
-        return scan_availability(block);
+        return block_scan_availability(block);
       },
-      [&](ScanAvailability&& p, std::size_t) {
-        auto append = [](std::vector<double>& into, std::vector<double>& from) {
-          if (into.empty()) {
-            into = std::move(from);
-          } else {
-            into.insert(into.end(), from.begin(), from.end());
-          }
-        };
-        append(out.all_24, p.all_24);
-        append(out.strong_24, p.strong_24);
-        append(out.all_5, p.all_5);
-        append(out.strong_5, p.strong_5);
-      });
-  return out;
-}
-
-std::vector<OffloadDeviceMetrics> offload_device_metrics(
-    const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return offload_device_metrics(*ds);
-  }
-  return src.concat<OffloadDeviceMetrics>(
-      [](const Dataset& block, std::size_t) {
-        return offload_device_metrics(block);
+      [](ScanAvailability& acc, ScanAvailability&& p) {
+        query::append(acc.all_24, p.all_24);
+        query::append(acc.strong_24, p.strong_24);
+        query::append(acc.all_5, p.all_5);
+        query::append(acc.strong_5, p.strong_5);
       });
 }
 
 OffloadOpportunity offload_opportunity(const query::DataSource& src,
                                        const OpportunityOptions& opt) {
-  return offload_opportunity_from_metrics(offload_device_metrics(src), opt);
+  return offload_opportunity_from_metrics(
+      src.concat<OffloadDeviceMetrics>([](const Dataset& block, std::size_t) {
+        return offload_device_metrics(block);
+      }),
+      opt);
 }
 
 }  // namespace tokyonet::analysis

@@ -27,7 +27,6 @@ struct BatteryAnalysis {
   double mean_wifi_on = 0;
 };
 
-[[nodiscard]] BatteryAnalysis battery_analysis(const Dataset& ds);
 [[nodiscard]] BatteryAnalysis battery_analysis(const query::DataSource& src);
 
 }  // namespace tokyonet::analysis

@@ -2,11 +2,6 @@
 
 namespace tokyonet::analysis {
 
-CapAnalysis analyze_cap(const Dataset& ds, const std::vector<UserDay>& days,
-                        double threshold_mb) {
-  return analyze_cap(ds.devices.size(), days, threshold_mb);
-}
-
 CapAnalysis analyze_cap(std::size_t n_devices,
                         const std::vector<UserDay>& days,
                         double threshold_mb) {

@@ -28,12 +28,7 @@ struct CapAnalysis {
   double others_below_half = 0;
 };
 
-[[nodiscard]] CapAnalysis analyze_cap(const Dataset& ds,
-                                      const std::vector<UserDay>& days,
-                                      double threshold_mb = 1000.0);
-
-/// As above for callers without a resident Dataset (the out-of-core
-/// path): the dataset is only consulted for the device count.
+/// `days` carries device ids in [0, n_devices), ordered by (device, day).
 [[nodiscard]] CapAnalysis analyze_cap(std::size_t n_devices,
                                       const std::vector<UserDay>& days,
                                       double threshold_mb = 1000.0);

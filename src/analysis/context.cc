@@ -1,22 +1,10 @@
 #include "analysis/context.h"
 
-#include <stdexcept>
 #include <utility>
 
 namespace tokyonet::analysis {
 
-const Dataset& AnalysisContext::dataset() const {
-  const Dataset* ds = src_->dataset_or_null();
-  if (ds == nullptr) {
-    throw std::logic_error(
-        "AnalysisContext::dataset(): campaign is not resident "
-        "(out-of-core source)");
-  }
-  return *ds;
-}
-
 std::span<const DeviceInfo> AnalysisContext::devices() const {
-  if (const Dataset* ds = src_->dataset_or_null()) return ds->devices;
   ensure_scan();
   return devices_;
 }
@@ -29,18 +17,10 @@ void AnalysisContext::ensure_scan() const {
     uopt.min_day =
         src_->year() == Year::Y2015 ? 9 : src_->num_days();
 
-    if (const Dataset* ds = src_->dataset_or_null()) {
-      updates_ = std::make_unique<UpdateDetection>(detect_updates(*ds, uopt));
-      UserDayOptions dopt;
-      dopt.update_bin_by_device = &updates_->update_bin;
-      days_ = std::make_unique<std::vector<UserDay>>(user_days(*ds, dopt));
-      return;
-    }
-
-    // Out of core: one pass. Each block's detection, rollup and device
-    // table are per-device products of that block alone; rebasing local
-    // ids by the block's device base and appending in block (= device)
-    // order reproduces the in-memory campaign scan byte-identically.
+    // One pass. Each block's detection, rollup and device table are
+    // per-device products of that block alone; rebasing local ids by
+    // the block's device base and appending in block (= device) order
+    // reproduces a whole-campaign scan byte-identically.
     updates_ = std::make_unique<UpdateDetection>();
     updates_->update_bin.assign(src_->n_devices(), -1);
     days_ = std::make_unique<std::vector<UserDay>>();
@@ -102,34 +82,13 @@ const UserClassifier& AnalysisContext::classifier() const {
 
 const ApClassification& AnalysisContext::classification() const {
   std::call_once(classification_once_, [&] {
-    if (const Dataset* ds = src_->dataset_or_null()) {
-      classification_ = std::make_unique<ApClassification>(classify_aps(*ds));
-      return;
-    }
-    // Per-AP tallies merge by addition and set union; each device's
-    // home-AP verdict is its own. Feeding blocks in device order
-    // reproduces classify_aps() byte-identically (classify.h).
-    ApClassificationBuilder builder(src_->n_devices(), src_->aps().size());
-    src_->fold<ApClassificationBuilder::BlockStats>(
-        [&](const Dataset& block, std::size_t) {
-          return builder.scan_block(block);
-        },
-        [&](ApClassificationBuilder::BlockStats&& stats, std::size_t base) {
-          builder.merge_block(std::move(stats), base);
-        });
-    classification_ =
-        std::make_unique<ApClassification>(builder.finish(src_->aps()));
+    classification_ = std::make_unique<ApClassification>(classify_aps(*src_));
   });
   return *classification_;
 }
 
 const std::vector<GeoCell>& AnalysisContext::home_cells() const {
   std::call_once(home_cells_once_, [&] {
-    if (const Dataset* ds = src_->dataset_or_null()) {
-      home_cells_ =
-          std::make_unique<std::vector<GeoCell>>(infer_home_cells(*ds));
-      return;
-    }
     // A device's home cell is a pure function of its own night samples.
     home_cells_ = std::make_unique<std::vector<GeoCell>>(
         src_->concat<GeoCell>([](const Dataset& block, std::size_t) {

@@ -10,17 +10,14 @@
 // shared intermediate exactly once no matter how many kernels consume
 // it.
 //
-// The context runs over a query::DataSource, so the same figure code
-// serves both backends: constructed from a Dataset it wraps an
-// InMemorySource and every intermediate is computed by the original
-// in-memory function (bit-identical, enforced by
-// tests/index_equiv_test.cc); constructed from a ShardedSource each
-// intermediate is one bounded-memory pass over the shards, folding
-// per-shard partials in shard order (update detection, user-day
-// rollups, home cells and home-AP verdicts are per-device products;
-// classification tallies merge by addition and set union), so the
-// results are byte-identical to the in-memory ones. Only O(devices +
-// aps) state is ever retained.
+// The context runs over a query::DataSource and has one code path for
+// both backends: each intermediate is one fold over the source's device
+// blocks, merged in device order (update detection, user-day rollups,
+// home cells and home-AP verdicts are per-device products;
+// classification tallies merge by addition and set union). In memory
+// that is a single block holding the whole campaign; over a
+// ShardedSource it is one bounded-memory pass over the shards, with
+// byte-identical results. Only O(devices + aps) state is ever retained.
 #pragma once
 
 #include <memory>
@@ -43,8 +40,8 @@ class AnalysisContext {
       : owned_(std::make_unique<query::InMemorySource>(ds)),
         src_(owned_.get()) {}
 
-  /// Borrows `src` (must outlive the context). Out of core, every
-  /// intermediate below is one pass over the store.
+  /// Borrows `src` (must outlive the context). Every intermediate
+  /// below is one pass over the source.
   explicit AnalysisContext(const query::DataSource& src) : src_(&src) {}
 
   AnalysisContext(const AnalysisContext&) = delete;
@@ -53,11 +50,6 @@ class AnalysisContext {
   [[nodiscard]] const query::DataSource& source() const noexcept {
     return *src_;
   }
-
-  /// The resident campaign. Only callable in-memory; out-of-core
-  /// figures must consume source() (enforced — throws std::logic_error
-  /// rather than silently materializing the campaign).
-  [[nodiscard]] const Dataset& dataset() const;
 
   /// The global device table (ids are global indices in both backends).
   [[nodiscard]] std::span<const DeviceInfo> devices() const;
@@ -91,7 +83,7 @@ class AnalysisContext {
 
   mutable std::once_flag scan_once_, classifier_once_, classification_once_,
       home_cells_once_;
-  mutable std::vector<DeviceInfo> devices_;  // out-of-core only
+  mutable std::vector<DeviceInfo> devices_;
   mutable std::unique_ptr<UpdateDetection> updates_;
   mutable std::unique_ptr<std::vector<UserDay>> days_;
   mutable std::unique_ptr<UserClassifier> classifier_;

@@ -190,13 +190,8 @@ namespace {
 
 }  // namespace
 
-RssiAnalysis rssi_analysis(const Dataset& ds, const ApClassification& cls) {
-  return rssi_finalize(ap_max_rssi(ds), cls);
-}
-
 RssiAnalysis rssi_analysis(const query::DataSource& src,
                            const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) return rssi_analysis(*ds, cls);
   return rssi_finalize(
       src.reduce<std::vector<double>>(
           [](const Dataset& block, std::size_t) { return ap_max_rssi(block); },
@@ -280,16 +275,8 @@ using ChannelCounts = std::array<std::uint64_t, 29>;
 
 }  // namespace
 
-ChannelAnalysis channel_analysis(const Dataset& ds,
-                                 const ApClassification& cls) {
-  return channel_finalize(channel_counts(ds, cls));
-}
-
 ChannelAnalysis channel_analysis(const query::DataSource& src,
                                  const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return channel_analysis(*ds, cls);
-  }
   return channel_finalize(src.reduce<ChannelCounts>(
       [&](const Dataset& block, std::size_t) {
         return channel_counts(block, cls);
@@ -387,22 +374,10 @@ namespace {
 
 }  // namespace
 
-ApDensityMap ap_density_map(const Dataset& ds, const ApClassification& cls,
-                            ApClass which, int num_cells) {
-  // Most common device geolocation per AP while associated.
-  const std::vector<std::uint8_t> keep =
-      class_keep_table(ds.aps.size(), cls, which);
-  return density_from_top_cells(
-      top_cells_from_counts(ds.aps.size(), ap_cell_pair_counts(ds, keep)),
-      num_cells);
-}
-
 ApDensityMap ap_density_map(const query::DataSource& src,
                             const ApClassification& cls, ApClass which,
                             int num_cells) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return ap_density_map(*ds, cls, which, num_cells);
-  }
+  // Most common device geolocation per AP while associated.
   const std::size_t n_aps = src.aps().size();
   const std::vector<std::uint8_t> keep = class_keep_table(n_aps, cls, which);
   const PairCounts total = src.reduce<PairCounts>(

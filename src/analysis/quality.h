@@ -26,8 +26,6 @@ struct RssiAnalysis {
   [[nodiscard]] stats::Histogram public_pdf() const;
 };
 
-[[nodiscard]] RssiAnalysis rssi_analysis(const Dataset& ds,
-                                         const ApClassification& cls);
 [[nodiscard]] RssiAnalysis rssi_analysis(const query::DataSource& src,
                                          const ApClassification& cls);
 
@@ -38,8 +36,6 @@ struct ChannelAnalysis {
   std::array<double, 14> public_pmf{};
 };
 
-[[nodiscard]] ChannelAnalysis channel_analysis(const Dataset& ds,
-                                               const ApClassification& cls);
 [[nodiscard]] ChannelAnalysis channel_analysis(const query::DataSource& src,
                                                const ApClassification& cls);
 
@@ -70,9 +66,6 @@ struct ApDensityMap {
   int max_count = 0;
 };
 
-[[nodiscard]] ApDensityMap ap_density_map(const Dataset& ds,
-                                          const ApClassification& cls,
-                                          ApClass which, int num_cells);
 [[nodiscard]] ApDensityMap ap_density_map(const query::DataSource& src,
                                           const ApClassification& cls,
                                           ApClass which, int num_cells);

@@ -1,7 +1,7 @@
 // DataSource: one campaign, two execution backends.
 //
-// Analysis kernels that want to run both in memory and out of core are
-// written as a block scan plus an ordered fold: scan(block, base) turns
+// Every analysis kernel is written once, as a block scan plus an
+// ordered fold, and runs on either backend: scan(block, base) turns
 // one contiguous device range (a Dataset with block-local device ids
 // whose global indices start at `base`) into a partial, and the fold
 // merges partials in device order. A DataSource hides which backend
@@ -21,10 +21,11 @@
 //    thread.
 //
 // Determinism contract: every partial a kernel parks here is an exact
-// integer accumulation, a max-merge, or a per-device product, so the
-// shard-order fold reproduces the in-memory scan byte-identically at
-// any (threads, shards, resident_shards) — the same argument DESIGN.md
-// §5c makes for the chunk geometry in query/scan.h.
+// integer accumulation, a max-merge, or per-device products folded one
+// device at a time, so the shard-order fold reproduces the in-memory
+// scan byte-identically at any (threads, shards, resident_shards) — the
+// same argument DESIGN.md §5c makes for the chunk geometry in
+// query/scan.h.
 #pragma once
 
 #include <cstddef>
@@ -59,6 +60,14 @@ class SourceError : public std::runtime_error {
   io::SnapshotResult result_;
 };
 
+/// Appends one block's device-ordered products to the campaign's: the
+/// merge step of DataSource::concat(), also used by partials that hold
+/// several such vectors.
+template <typename T>
+void append(std::vector<T>& into, const std::vector<T>& from) {
+  into.insert(into.end(), from.begin(), from.end());
+}
+
 class DataSource {
  public:
   virtual ~DataSource() = default;
@@ -75,8 +84,9 @@ class DataSource {
   }
 
   /// The whole campaign when it is resident (in-memory backend);
-  /// nullptr out of core. Kernels without an out-of-core plan use this
-  /// to keep their exact in-memory implementation.
+  /// nullptr out of core. No code under src/ calls it: every kernel
+  /// runs through fold_blocks() on both backends. It stays for wrapping
+  /// sources outside src/ that forward it.
   [[nodiscard]] virtual const Dataset* dataset_or_null() const noexcept = 0;
 
   /// Type-erased block fold. `scan` may run concurrently for several
@@ -124,16 +134,10 @@ class DataSource {
   /// yields the campaign's products in global device order.
   template <typename T, typename Scan>
   [[nodiscard]] std::vector<T> concat(Scan&& scan) const {
-    std::vector<T> out;
-    fold<std::vector<T>>(std::forward<Scan>(scan),
-                         [&](std::vector<T>&& p, std::size_t) {
-                           if (out.empty()) {
-                             out = std::move(p);
-                           } else {
-                             out.insert(out.end(), p.begin(), p.end());
-                           }
-                         });
-    return out;
+    return reduce<std::vector<T>>(std::forward<Scan>(scan),
+                                  [](std::vector<T>& acc, std::vector<T>&& p) {
+                                    append(acc, p);
+                                  });
   }
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/common.h"
+#include "analysis/query/fwd.h"
 #include "core/records.h"
 
 namespace tokyonet::analysis {
@@ -23,7 +24,7 @@ struct WifiRatios {
 };
 
 /// Computes all six weekly ratio profiles in one pass over the samples.
-[[nodiscard]] WifiRatios compute_wifi_ratios(const Dataset& ds,
+[[nodiscard]] WifiRatios compute_wifi_ratios(const query::DataSource& src,
                                              const std::vector<UserDay>& days,
                                              const UserClassifier& classes);
 

@@ -11,9 +11,11 @@ constexpr std::uint64_t kOuiMask = 0xFFFFFFull << 24;
 
 }  // namespace
 
-SharedApAnalysis detect_shared_aps(std::span<const ApInfo> aps,
+SharedApAnalysis detect_shared_aps(const query::DataSource& src,
                                    const ApClassification& cls,
                                    const SharedApOptions& opt) {
+  // The AP universe is resident in both backends — no sample scan.
+  const std::vector<ApInfo>& aps = src.aps();
   SharedApAnalysis out;
 
   // Collect associated public networks, sorted by BSSID.
@@ -58,19 +60,6 @@ SharedApAnalysis detect_shared_aps(std::span<const ApInfo> aps,
         static_cast<double>(shared_members) / out.public_aps;
   }
   return out;
-}
-
-SharedApAnalysis detect_shared_aps(const Dataset& ds,
-                                   const ApClassification& cls,
-                                   const SharedApOptions& opt) {
-  return detect_shared_aps(std::span<const ApInfo>(ds.aps), cls, opt);
-}
-
-SharedApAnalysis detect_shared_aps(const query::DataSource& src,
-                                   const ApClassification& cls,
-                                   const SharedApOptions& opt) {
-  // The AP universe is resident in both backends — no sample scan.
-  return detect_shared_aps(std::span<const ApInfo>(src.aps()), cls, opt);
 }
 
 }  // namespace tokyonet::analysis

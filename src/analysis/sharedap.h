@@ -8,7 +8,6 @@
 // as one shared box.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "analysis/classify.h"
@@ -31,13 +30,7 @@ struct SharedApOptions {
   std::uint64_t max_serial_gap = 1;
 };
 
-[[nodiscard]] SharedApAnalysis detect_shared_aps(
-    const Dataset& ds, const ApClassification& cls,
-    const SharedApOptions& opt = {});
 /// The detection needs only the (resident) AP universe.
-[[nodiscard]] SharedApAnalysis detect_shared_aps(
-    std::span<const ApInfo> aps, const ApClassification& cls,
-    const SharedApOptions& opt = {});
 [[nodiscard]] SharedApAnalysis detect_shared_aps(
     const query::DataSource& src, const ApClassification& cls,
     const SharedApOptions& opt = {});

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "analysis/query/source.h"
 #include "analysis/ratios.h"
 
 namespace tokyonet::analysis {
@@ -17,7 +18,8 @@ StreamResult batch_stream_result(const Dataset& ds) {
   // batch kernels.
   out.user_days = user_days(ds);
   const UserClassifier classes(out.user_days);
-  const WifiRatios ratios = compute_wifi_ratios(ds, out.user_days, classes);
+  const WifiRatios ratios = compute_wifi_ratios(query::InMemorySource(ds),
+                                                out.user_days, classes);
   out.wifi_traffic = ratios.traffic_all;
   out.wifi_users = ratios.users_all;
 

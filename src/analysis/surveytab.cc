@@ -152,12 +152,7 @@ struct ReasonsCounts {
 
 }  // namespace
 
-Demographics demographics(const Dataset& ds) {
-  return demographics_finalize(demographics_counts(ds));
-}
-
 Demographics demographics(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return demographics(*ds);
   return demographics_finalize(src.reduce<DemographicsCounts>(
       [](const Dataset& block, std::size_t) {
         return demographics_counts(block);
@@ -165,23 +160,13 @@ Demographics demographics(const query::DataSource& src) {
       [](DemographicsCounts& acc, DemographicsCounts&& p) { acc.merge(p); }));
 }
 
-SurveyApUsage survey_ap_usage(const Dataset& ds) {
-  return ap_usage_finalize(ap_usage_counts(ds));
-}
-
 SurveyApUsage survey_ap_usage(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return survey_ap_usage(*ds);
   return ap_usage_finalize(src.reduce<ApUsageCounts>(
       [](const Dataset& block, std::size_t) { return ap_usage_counts(block); },
       [](ApUsageCounts& acc, ApUsageCounts&& p) { acc.merge(p); }));
 }
 
-SurveyReasons survey_reasons(const Dataset& ds) {
-  return reasons_finalize(reasons_counts(ds));
-}
-
 SurveyReasons survey_reasons(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return survey_reasons(*ds);
   return reasons_finalize(src.reduce<ReasonsCounts>(
       [](const Dataset& block, std::size_t) { return reasons_counts(block); },
       [](ReasonsCounts& acc, ReasonsCounts&& p) { acc.merge(p); }));

@@ -15,7 +15,6 @@ struct Demographics {
   int respondents = 0;
 };
 
-[[nodiscard]] Demographics demographics(const Dataset& ds);
 [[nodiscard]] Demographics demographics(const query::DataSource& src);
 
 /// Table 8: yes/no/not-answered (%) per location.
@@ -25,7 +24,6 @@ struct SurveyApUsage {
   std::array<double, kNumSurveyLocations> not_answered{};
 };
 
-[[nodiscard]] SurveyApUsage survey_ap_usage(const Dataset& ds);
 [[nodiscard]] SurveyApUsage survey_ap_usage(const query::DataSource& src);
 
 /// Table 9: share (%) of "No" respondents giving each reason, per
@@ -36,7 +34,6 @@ struct SurveyReasons {
   std::array<int, kNumSurveyLocations> respondents{};
 };
 
-[[nodiscard]] SurveyReasons survey_reasons(const Dataset& ds);
 [[nodiscard]] SurveyReasons survey_reasons(const query::DataSource& src);
 
 }  // namespace tokyonet::analysis

@@ -45,13 +45,6 @@ UpdateDetection detect_updates(const Dataset& ds,
   return out;
 }
 
-UpdateTiming analyze_update_timing(const Dataset& ds,
-                                   const UpdateDetection& detection,
-                                   const ApClassification& classification) {
-  return analyze_update_timing(std::span<const DeviceInfo>(ds.devices),
-                               detection, classification);
-}
-
 UpdateTiming analyze_update_timing(std::span<const DeviceInfo> devices,
                                    const UpdateDetection& detection,
                                    const ApClassification& classification) {

@@ -9,21 +9,22 @@
 #include "stats/descriptive.h"
 
 namespace tokyonet::analysis {
+namespace {
 
-LteTrafficSums lte_traffic_sums(const Dataset& ds) {
-  std::uint64_t lte = 0, total = 0;
+void merge(LteTrafficSums& acc, const LteTrafficSums& p) noexcept {
+  acc.lte += p.lte;
+  acc.total += p.total;
+}
+
+[[nodiscard]] LteTrafficSums block_lte_traffic_sums(const Dataset& ds) {
   const core::DatasetIndex& idx = ds.index();
   // Chunked u64 sums over the SoA columns: exact and associative, so
   // the reduction matches the serial scan at any thread count.
   const std::span<const std::uint32_t> cell_rx = idx.cell_rx();
   const std::span<const CellTech> tech = idx.tech();
-  const std::size_t n = cell_rx.size();
-  struct Sums {
-    std::uint64_t lte = 0, total = 0;
-  };
-  const std::vector<Sums> partials =
-      query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-        Sums sums;
+  const std::vector<LteTrafficSums> partials = query::map_chunks(
+      cell_rx.size(), [&](std::size_t begin, std::size_t end) {
+        LteTrafficSums sums;
         for (std::size_t i = begin; i < end; ++i) {
           if (cell_rx[i] == 0) continue;
           sums.total += cell_rx[i];
@@ -31,40 +32,15 @@ LteTrafficSums lte_traffic_sums(const Dataset& ds) {
         }
         return sums;
       });
-  for (const Sums& p : partials) {
-    lte += p.lte;
-    total += p.total;
-  }
-  return {lte, total};
+  LteTrafficSums out;
+  for (const LteTrafficSums& p : partials) merge(out, p);
+  return out;
 }
 
-DatasetOverview overview(const Dataset& ds) {
-  DatasetOverview o;
-  for (const DeviceInfo& d : ds.devices) {
-    ++o.n_total;
-    (d.os == Os::Android ? o.n_android : o.n_ios) += 1;
-  }
-  const LteTrafficSums sums = lte_traffic_sums(ds);
-  o.lte_traffic_share =
-      sums.total > 0
-          ? static_cast<double>(sums.lte) / static_cast<double>(sums.total)
-          : 0;
-  return o;
-}
-
-LteTrafficSums lte_traffic_sums(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return lte_traffic_sums(*ds);
-  return src.reduce<LteTrafficSums>(
-      [](const Dataset& block, std::size_t) { return lte_traffic_sums(block); },
-      [](LteTrafficSums& acc, LteTrafficSums&& p) {
-        acc.lte += p.lte;
-        acc.total += p.total;
-      });
-}
+}  // namespace
 
 DatasetOverview overview(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return overview(*ds);
-  // One shard pass for both the device counts and the LTE byte sums.
+  // One pass for both the device counts and the LTE byte sums.
   struct Part {
     int n_android = 0, n_ios = 0, n_total = 0;
     LteTrafficSums sums;
@@ -76,15 +52,14 @@ DatasetOverview overview(const query::DataSource& src) {
           ++part.n_total;
           (d.os == Os::Android ? part.n_android : part.n_ios) += 1;
         }
-        part.sums = lte_traffic_sums(block);
+        part.sums = block_lte_traffic_sums(block);
         return part;
       },
       [](Part& acc, Part&& b) {
         acc.n_android += b.n_android;
         acc.n_ios += b.n_ios;
         acc.n_total += b.n_total;
-        acc.sums.lte += b.sums.lte;
-        acc.sums.total += b.sums.total;
+        merge(acc.sums, b.sums);
       });
   DatasetOverview o;
   o.n_android = p.n_android;

@@ -20,20 +20,14 @@ struct DatasetOverview {
   double lte_traffic_share = 0;
 };
 
-[[nodiscard]] DatasetOverview overview(const Dataset& ds);
 [[nodiscard]] DatasetOverview overview(const query::DataSource& src);
 
 /// Exact byte sums behind Table 1's %LTE: total cellular download and
-/// the LTE-carried part. Exposed (u64, associative) so the out-of-core
-/// scan can sum per-shard partials and reproduce overview()
-/// byte-identically.
+/// the LTE-carried part.
 struct LteTrafficSums {
   std::uint64_t lte = 0;
   std::uint64_t total = 0;
 };
-
-[[nodiscard]] LteTrafficSums lte_traffic_sums(const Dataset& ds);
-[[nodiscard]] LteTrafficSums lte_traffic_sums(const query::DataSource& src);
 
 /// Table 3 row set (download volumes, MB/day).
 struct DailyVolumeStats {

@@ -162,22 +162,11 @@ struct HpoCounts {
 
 }  // namespace
 
-ApsPerDay aps_per_day(const Dataset& ds, const std::vector<UserDay>& days,
-                      const UserClassifier& classes) {
-  const std::vector<UserClass> klass = class_table(
-      ds.devices.size(), static_cast<std::size_t>(ds.num_days()), days,
-      classes);
-  return aps_per_day_finalize(aps_per_day_counts(ds, klass, 0));
-}
-
 ApsPerDay aps_per_day(const query::DataSource& src,
                       const std::vector<UserDay>& days,
                       const UserClassifier& classes) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return aps_per_day(*ds, days, classes);
-  }
   // The class table spans the whole campaign (user-days carry global
-  // device ids); each shard scan rebases its local ids into it.
+  // device ids); each block scan rebases its local ids into it.
   const std::vector<UserClass> klass =
       class_table(src.n_devices(), static_cast<std::size_t>(src.num_days()),
                   days, classes);
@@ -188,15 +177,8 @@ ApsPerDay aps_per_day(const query::DataSource& src,
       [](ApsPerDayCounts& acc, ApsPerDayCounts&& p) { acc.merge(p); }));
 }
 
-HpoBreakdown hpo_breakdown(const Dataset& ds, const ApClassification& cls) {
-  return hpo_finalize(hpo_counts(ds, cls));
-}
-
 HpoBreakdown hpo_breakdown(const query::DataSource& src,
                            const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return hpo_breakdown(*ds, cls);
-  }
   return hpo_finalize(src.reduce<HpoCounts>(
       [&](const Dataset& block, std::size_t) {
         return hpo_counts(block, cls);
@@ -204,8 +186,11 @@ HpoBreakdown hpo_breakdown(const query::DataSource& src,
       [](HpoCounts& acc, HpoCounts&& p) { acc.merge(p); }));
 }
 
-AssociationDurations association_durations(const Dataset& ds,
-                                           const ApClassification& cls) {
+namespace {
+
+// One block's durations, per device in device order.
+[[nodiscard]] AssociationDurations block_association_durations(
+    const Dataset& ds, const ApClassification& cls) {
   AssociationDurations out;
   const double bin_hours = kMinutesPerBin / 60.0;
 
@@ -246,35 +231,27 @@ AssociationDurations association_durations(const Dataset& ds,
   return out;
 }
 
+}  // namespace
+
 AssociationDurations association_durations(const query::DataSource& src,
                                            const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return association_durations(*ds, cls);
-  }
-  // Durations are emitted per device in device order, so appending
-  // shard partials in shard order matches the in-memory emission order.
-  AssociationDurations out;
-  src.fold<AssociationDurations>(
+  // Appending block partials in block order keeps the per-device
+  // emission order of one whole-campaign scan.
+  return src.reduce<AssociationDurations>(
       [&](const Dataset& block, std::size_t) {
-        return association_durations(block, cls);
+        return block_association_durations(block, cls);
       },
-      [&](AssociationDurations&& p, std::size_t) {
-        auto append = [](std::vector<double>& into, std::vector<double>& from) {
-          if (into.empty()) {
-            into = std::move(from);
-          } else {
-            into.insert(into.end(), from.begin(), from.end());
-          }
-        };
-        append(out.home_hours, p.home_hours);
-        append(out.public_hours, p.public_hours);
-        append(out.office_hours, p.office_hours);
+      [](AssociationDurations& acc, AssociationDurations&& p) {
+        query::append(acc.home_hours, p.home_hours);
+        query::append(acc.public_hours, p.public_hours);
+        query::append(acc.office_hours, p.office_hours);
       });
-  return out;
 }
 
-BandFractions band_fractions(std::span<const ApInfo> aps,
+BandFractions band_fractions(const query::DataSource& src,
                              const ApClassification& cls) {
+  // The AP universe is resident in both backends — no sample scan.
+  const std::vector<ApInfo>& aps = src.aps();
   int home5 = 0, home_n = 0, office5 = 0, office_n = 0, pub5 = 0, pub_n = 0;
   for (std::size_t i = 0; i < aps.size(); ++i) {
     if (!cls.associated[i]) continue;
@@ -301,16 +278,6 @@ BandFractions band_fractions(std::span<const ApInfo> aps,
   if (office_n > 0) f.office = static_cast<double>(office5) / office_n;
   if (pub_n > 0) f.publik = static_cast<double>(pub5) / pub_n;
   return f;
-}
-
-BandFractions band_fractions(const Dataset& ds, const ApClassification& cls) {
-  return band_fractions(std::span<const ApInfo>(ds.aps), cls);
-}
-
-BandFractions band_fractions(const query::DataSource& src,
-                             const ApClassification& cls) {
-  // The AP universe is resident in both backends — no sample scan.
-  return band_fractions(std::span<const ApInfo>(src.aps()), cls);
 }
 
 }  // namespace tokyonet::analysis

@@ -3,16 +3,18 @@
 #include "analysis/battery.h"
 #include "analysis/cap.h"
 #include "analysis/update.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
 #include "stats/distribution.h"
 
 namespace tokyonet::report {
+namespace {
 
-Table render_fig18(const analysis::UpdateDetection& det,
-                   const analysis::UpdateTiming& u) {
+Table fig18(const FigureContext& ctx) {
+  const analysis::UpdateDetection& det = ctx.analysis().updates();
+  const analysis::UpdateTiming u = analysis::analyze_update_timing(
+      ctx.analysis().devices(), det, ctx.analysis().classification());
   const stats::Ecdf all(u.delay_days_all);
   const stats::Ecdf no_home(u.delay_days_no_home);
   const auto n_ios = static_cast<double>(det.num_ios);
@@ -42,15 +44,6 @@ Table render_fig18(const analysis::UpdateDetection& det,
       "days)",
       u.median_delay_home, u.median_delay_no_home));
   return t;
-}
-
-namespace {
-
-Table fig18(const FigureContext& ctx) {
-  const auto& det = ctx.analysis().updates();
-  const analysis::UpdateTiming u = analysis::analyze_update_timing(
-      ctx.analysis().devices(), det, ctx.analysis().classification());
-  return render_fig18(det, u);
 }
 
 Table fig19(const FigureContext& ctx) {
@@ -105,13 +98,13 @@ Table sec42(const FigureContext& ctx) {
 
 void register_event_figures(FigureRegistry& r) {
   r.add({"fig18", "iOS 8.2 software update timing (CDF/PDF)",
-         "Fig 18 (software update timing, Sec 3.7)", {Year::Y2015}, &fig18, true});
+         "Fig 18 (software update timing, Sec 3.7)", {Year::Y2015}, &fig18});
   r.add({"fig19", "soft bandwidth cap: daily vs 3-day-mean download CDFs",
          "Fig 19 (soft bandwidth cap effect, Sec 3.8)",
-         {Year::Y2014, Year::Y2015}, &fig19, true});
+         {Year::Y2014, Year::Y2015}, &fig19});
   r.add({"sec42_battery", "weekly battery-level profile and WiFi-state check",
          "Sec 4.2 (battery levels vs WiFi state)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec42, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec42});
 }
 
 }  // namespace tokyonet::report

@@ -2,34 +2,29 @@
 // per-year; stacking the three years reproduces the paper's layouts.
 #include "analysis/surveytab.h"
 #include "analysis/volumes.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
 
 namespace tokyonet::report {
-
-Table render_table01(Year year, int num_days,
-                     const analysis::DatasetOverview& o) {
-  static const char* kPaperLte[] = {"25%", "70%", "80%"};
-
-  Table t({"year", "days", "android", "ios", "total", "LTE share",
-           "paper LTE"});
-  t.add_row({Value::integer(year_number(year)), Value::integer(num_days),
-             Value::integer(o.n_android), Value::integer(o.n_ios),
-             Value::integer(o.n_total), Value::pct(o.lte_traffic_share, 0),
-             Value::text(kPaperLte[static_cast<int>(year)])});
-  t.notes.push_back("paper panel: 1755 / 1676 / 1616 devices");
-  return t;
-}
-
 namespace {
 
 constexpr Year kEveryYear[] = {Year::Y2013, Year::Y2014, Year::Y2015};
 
 Table table01(const FigureContext& ctx) {
+  static const char* kPaperLte[] = {"25%", "70%", "80%"};
   const auto& src = ctx.source();
-  return render_table01(ctx.year(), src.num_days(), analysis::overview(src));
+  const analysis::DatasetOverview o = analysis::overview(src);
+
+  Table t({"year", "days", "android", "ios", "total", "LTE share",
+           "paper LTE"});
+  t.add_row({Value::integer(year_number(ctx.year())),
+             Value::integer(src.num_days()), Value::integer(o.n_android),
+             Value::integer(o.n_ios), Value::integer(o.n_total),
+             Value::pct(o.lte_traffic_share, 0),
+             Value::text(kPaperLte[static_cast<int>(ctx.year())])});
+  t.notes.push_back("paper panel: 1755 / 1676 / 1616 devices");
+  return t;
 }
 
 Table table02(const FigureContext& ctx) {
@@ -96,16 +91,16 @@ Table table09(const FigureContext& ctx) {
 void register_overview_figures(FigureRegistry& r) {
   r.add({"table01", "dataset overview: devices per OS and LTE share",
          "Table 1 (dataset overview)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table01, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table01});
   r.add({"table02", "user-survey demographics (occupation mix)",
          "Table 2 (user demographics)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table02, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table02});
   r.add({"table08", "survey: self-reported WiFi AP usage per location",
          "Table 8 (survey: associated WiFi APs)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table08, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table08});
   r.add({"table09", "survey: reasons for WiFi unavailability per location",
          "Table 9 (survey: reasons for unavailability)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table09, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table09});
 }
 
 }  // namespace tokyonet::report

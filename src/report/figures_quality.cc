@@ -3,26 +3,11 @@
 // it can run for all three years.
 #include "analysis/availability.h"
 #include "analysis/quality.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
 
 namespace tokyonet::report {
-
-Table render_sec35(Year year, const analysis::OffloadOpportunity& opp) {
-  Table t({"year", "WiFi-available users", "stable opportunity",
-           "offloadable cellular share"});
-  t.add_row({Value::integer(year_number(year)),
-             Value::integer(opp.num_wifi_available_users),
-             Value::pct(opp.users_with_stable_opportunity, 0),
-             Value::pct(opp.offloadable_cell_share, 0)});
-  t.notes.push_back(
-      "paper (§3.5, 2015): 60% of WiFi-available users have stable "
-      "public options; 15-20% of their cellular volume is offloadable");
-  return t;
-}
-
 namespace {
 
 Table fig15(const FigureContext& ctx) {
@@ -83,8 +68,18 @@ Table fig17(const FigureContext& ctx) {
 }
 
 Table sec35(const FigureContext& ctx) {
-  return render_sec35(ctx.year(),
-                      analysis::offload_opportunity(ctx.source()));
+  const analysis::OffloadOpportunity opp =
+      analysis::offload_opportunity(ctx.source());
+  Table t({"year", "WiFi-available users", "stable opportunity",
+           "offloadable cellular share"});
+  t.add_row({Value::integer(year_number(ctx.year())),
+             Value::integer(opp.num_wifi_available_users),
+             Value::pct(opp.users_with_stable_opportunity, 0),
+             Value::pct(opp.offloadable_cell_share, 0)});
+  t.notes.push_back(
+      "paper (§3.5, 2015): 60% of WiFi-available users have stable "
+      "public options; 15-20% of their cellular volume is offloadable");
+  return t;
 }
 
 }  // namespace
@@ -92,15 +87,15 @@ Table sec35(const FigureContext& ctx) {
 void register_quality_figures(FigureRegistry& r) {
   r.add({"fig15", "RSSI PDFs of associated 2.4 GHz home and public APs",
          "Fig 15 (RSSI PDFs of associated APs, 2015)", {Year::Y2015},
-         &fig15, true});
+         &fig15});
   r.add({"fig16", "PMF of associated 2.4 GHz channels, home vs public",
          "Fig 16 (associated 2.4 GHz channels)", {Year::Y2013, Year::Y2015},
-         &fig16, true});
+         &fig16});
   r.add({"fig17", "CCDFs of detected public WiFi networks per scan",
-         "Fig 17 (public WiFi availability, 2015)", {Year::Y2015}, &fig17, true});
+         "Fig 17 (public WiFi availability, 2015)", {Year::Y2015}, &fig17});
   r.add({"sec35_opportunity", "stable public-WiFi offload opportunity",
          "Sec 3.5 (offloadable traffic estimate)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec35, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec35});
 }
 
 }  // namespace tokyonet::report

@@ -8,7 +8,6 @@
 #include "analysis/quality.h"
 #include "analysis/wifiusage.h"
 #include "geo/region.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
@@ -16,12 +15,14 @@
 #include "stats/distribution.h"
 
 namespace tokyonet::report {
+namespace {
 
-Table render_table04(Year year_, const analysis::ApClassification& cls) {
+Table table04(const FigureContext& ctx) {
+  const analysis::ApClassification& cls = ctx.analysis().classification();
   const analysis::ApClassification::Counts c = cls.counts();
 
   Table t({"year", "type", "APs", "paper '13/'14/'15"});
-  const Value year = Value::integer(year_number(year_));
+  const Value year = Value::integer(year_number(ctx.year()));
   t.add_row({year, Value::text("home"), Value::integer(c.home),
              Value::text("1139/1223/1289")});
   t.add_row({year, Value::text("public"), Value::integer(c.publik),
@@ -37,8 +38,6 @@ Table render_table04(Year year_, const analysis::ApClassification& cls) {
       100 * cls.home_ap_device_share()));
   return t;
 }
-
-namespace {
 
 Table fig10(const FigureContext& ctx) {
   const geo::TokyoRegion region;
@@ -161,10 +160,6 @@ Table fig14(const FigureContext& ctx) {
   return t;
 }
 
-Table table04(const FigureContext& ctx) {
-  return render_table04(ctx.year(), ctx.analysis().classification());
-}
-
 Table table05(const FigureContext& ctx) {
   const analysis::HpoBreakdown h = analysis::hpo_breakdown(
       ctx.source(), ctx.analysis().classification());
@@ -192,25 +187,25 @@ Table table05(const FigureContext& ctx) {
 void register_wifi_figures(FigureRegistry& r) {
   r.add({"fig10", "associated unique APs per 5 km grid cell",
          "Fig 10 (associated APs per 5 km cell)", {Year::Y2013, Year::Y2015},
-         &fig10, true});
+         &fig10});
   r.add({"fig11", "WiFi traffic volume at home/public/office APs",
          "Fig 11 (WiFi traffic by AP location)", {Year::Y2013, Year::Y2015},
-         &fig11, true});
+         &fig11});
   r.add({"fig12", "number of APs a device associates with per day",
          "Fig 12 (associated APs per user per day)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig12, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig12});
   r.add({"fig13", "CCDFs of consecutive WiFi association time per AP class",
          "Fig 13 (CCDFs of WiFi association time)",
-         {Year::Y2013, Year::Y2015}, &fig13, true});
+         {Year::Y2013, Year::Y2015}, &fig13});
   r.add({"fig14", "5 GHz share of associated APs per location",
          "Fig 14 (5 GHz share of associated APs)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig14, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig14});
   r.add({"table04", "number of estimated APs by inferred class",
          "Table 4 (number of estimated APs)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &table04, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &table04});
   r.add({"table05", "ESSID class combinations per user-day",
          "Table 5 (ESSID combinations per user-day)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &table05, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &table05});
 }
 
 }  // namespace tokyonet::report

@@ -20,12 +20,9 @@
 #include "core/types.h"
 #include "report/table.h"
 
-namespace tokyonet {
-class Dataset;
-namespace analysis {
+namespace tokyonet::analysis {
 class AnalysisContext;
-}  // namespace analysis
-}  // namespace tokyonet
+}  // namespace tokyonet::analysis
 
 namespace tokyonet::report {
 
@@ -44,15 +41,11 @@ class FigureContext {
   [[nodiscard]] Year year() const { return *year_; }
   [[nodiscard]] std::optional<Year> year_opt() const noexcept { return year_; }
 
-  /// Memoized dataset / analysis context for any campaign year. The
-  /// dataset is only available in-memory (throws std::logic_error out
-  /// of core); source() works in both backends and is what out_of_core
-  /// figures consume.
-  [[nodiscard]] const Dataset& dataset(Year y) const;
+  /// Memoized analysis context (and its query::DataSource, in memory or
+  /// out of core) for any campaign year.
   [[nodiscard]] const analysis::AnalysisContext& analysis(Year y) const;
   [[nodiscard]] const analysis::query::DataSource& source(Year y) const;
   /// Shorthands for the target year.
-  [[nodiscard]] const Dataset& dataset() const { return dataset(year()); }
   [[nodiscard]] const analysis::AnalysisContext& analysis() const {
     return analysis(year());
   }
@@ -76,12 +69,11 @@ struct FigureSpec {
   /// several years (e.g. Table 3's growth rates).
   std::vector<Year> years;
   FigureFn fn = nullptr;
-  /// True when the figure consumes only FigureContext::source() and the
-  /// context intermediates — it can run over a sharded store without
-  /// ever materializing the campaign (`fig run --out-of-core`). Figures
-  /// whose kernels need the resident Dataset (e.g. the Fig 6-8 ratio
-  /// scans, whose floating-point accumulation order is not
-  /// shard-decomposable) stay false.
+  /// True when the figure can render from a sharded store without
+  /// materializing the campaign (`fig run --out-of-core`). Every figure
+  /// reads its campaign through FigureContext::source(), so
+  /// FigureRegistry::add() sets this from per_year(): only the
+  /// longitudinal figures, which span all three campaigns, stay false.
   bool out_of_core = false;
 
   [[nodiscard]] bool per_year() const noexcept { return !years.empty(); }
@@ -105,7 +97,8 @@ class FigureRegistry {
   }
   [[nodiscard]] std::size_t size() const noexcept { return figures_.size(); }
 
-  /// Used by the register_*_figures() functions during construction.
+  /// Used by the register_*_figures() functions during construction;
+  /// sets spec.out_of_core.
   void add(FigureSpec spec);
 
  private:

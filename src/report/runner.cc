@@ -91,9 +91,11 @@ void Runner::resolve(Year year) {
       sim::CampaignCacheStatus status;
       ds_[i] = std::make_unique<Dataset>(sim::cached_campaign(config, &status));
       if (status.enabled && opt_.announce_cache) {
-        // run_bench.sh greps these lines to count cache hits per run.
-        std::printf("tokyonet-cache: %s %s\n", status.hit ? "hit" : "miss",
-                    status.path.string().c_str());
+        // run_bench.sh greps these lines to count cache hits per run;
+        // stderr keeps stdout machine-readable (`--format json`).
+        std::fprintf(stderr, "tokyonet-cache: %s %s\n",
+                     status.hit ? "hit" : "miss",
+                     status.path.string().c_str());
         if (!status.detail.empty()) {
           std::fprintf(stderr, "tokyonet-cache: note: %s\n",
                        status.detail.c_str());

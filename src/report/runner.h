@@ -32,8 +32,8 @@ class Runner {
     double scale = 1.0;
     /// Simulation seed override (default: the scenario's).
     std::optional<std::uint64_t> seed;
-    /// Print "tokyonet-cache: hit|miss <path>" lines when the campaign
-    /// cache is enabled (run_bench.sh counts them).
+    /// Print "tokyonet-cache: hit|miss <path>" lines on stderr when the
+    /// campaign cache is enabled (run_bench.sh counts them).
     bool announce_cache = false;
   };
 
@@ -47,8 +47,8 @@ class Runner {
 
   /// Memoized campaign for `year`: simulated (or cache-loaded) at most
   /// once per Runner, thread-safely. Throws std::logic_error when the
-  /// year runs out of core (adopt_shards_out_of_core / adopt_source) —
-  /// figures flagged FigureSpec::out_of_core never call this.
+  /// year runs out of core (adopt_shards_out_of_core / adopt_source);
+  /// figures never call this — they read analysis(year).source().
   [[nodiscard]] const Dataset& dataset(Year year);
 
   /// Memoized analysis context over `year`'s campaign (in-memory or

@@ -14,6 +14,7 @@ namespace tokyonet::analysis {
 namespace {
 
 using test::campaign;
+using test::campaign_source;
 using test::campaign_classification;
 
 const AppBreakdown& breakdown(Year y) {
@@ -21,8 +22,9 @@ const AppBreakdown& breakdown(Year y) {
   const int i = static_cast<int>(y);
   if (cache[i] == nullptr) {
     const Dataset& ds = campaign(y);
+    const query::InMemorySource src(ds);
     cache[i] = new AppBreakdown(app_breakdown(
-        ds, campaign_classification(y), infer_home_cells(ds)));
+        src, campaign_classification(y), infer_home_cells(ds)));
   }
   return *cache[i];
 }
@@ -105,6 +107,7 @@ TEST(Apps, ProductivityUploadHeavyOnHomeWifi) {
 TEST(Apps, LightUserFilterDropsVideoShare) {
   // §3.6: for light users, video's download contribution shrinks.
   const Dataset& ds = campaign(Year::Y2015);
+  const query::InMemorySource src(ds);
   const auto days = user_days(ds);
   const UserClassifier classes(days);
   AppBreakdownOptions opt;
@@ -112,7 +115,7 @@ TEST(Apps, LightUserFilterDropsVideoShare) {
   opt.classes = &classes;
   opt.light_users_only = true;
   const AppBreakdown light = app_breakdown(
-      ds, campaign_classification(Year::Y2015), infer_home_cells(ds), opt);
+      src, campaign_classification(Year::Y2015), infer_home_cells(ds), opt);
   const auto home = static_cast<std::size_t>(AppContext::WifiHome);
   EXPECT_LT(light.rx_share[home][static_cast<int>(AppCategory::Video)],
             breakdown(Year::Y2015).rx_share[home]
@@ -122,8 +125,8 @@ TEST(Apps, LightUserFilterDropsVideoShare) {
 TEST(Cap, SharesAndGapBands) {
   const Dataset& ds14 = campaign(Year::Y2014);
   const Dataset& ds15 = campaign(Year::Y2015);
-  const CapAnalysis c14 = analyze_cap(ds14, user_days(ds14));
-  const CapAnalysis c15 = analyze_cap(ds15, user_days(ds15));
+  const CapAnalysis c14 = analyze_cap(ds14.devices.size(), user_days(ds14));
+  const CapAnalysis c15 = analyze_cap(ds15.devices.size(), user_days(ds15));
   // §3.8: potentially capped users are a small, growing share.
   EXPECT_LT(c14.capped_user_share, 0.10);
   EXPECT_GT(c15.capped_user_share, 0.0);
@@ -138,8 +141,8 @@ TEST(Cap, GapShrinksAfterRelaxation) {
   constexpr double kCapScale = 0.6;
   const Dataset big14 = sim::simulate_year(Year::Y2014, kCapScale);
   const Dataset big15 = sim::simulate_year(Year::Y2015, kCapScale);
-  const CapAnalysis c14 = analyze_cap(big14, user_days(big14));
-  const CapAnalysis c15 = analyze_cap(big15, user_days(big15));
+  const CapAnalysis c14 = analyze_cap(big14.devices.size(), user_days(big14));
+  const CapAnalysis c15 = analyze_cap(big15.devices.size(), user_days(big15));
   EXPECT_GT(c14.gap_at_half, c15.gap_at_half);
   EXPECT_GT(c14.gap_at_half, 0.05);
 }
@@ -149,14 +152,14 @@ TEST(Cap, OthersBaselineMatchesPaper) {
   // mean in both years.
   for (Year y : {Year::Y2014, Year::Y2015}) {
     const Dataset& ds = campaign(y);
-    const CapAnalysis c = analyze_cap(ds, user_days(ds));
+    const CapAnalysis c = analyze_cap(ds.devices.size(), user_days(ds));
     EXPECT_NEAR(c.others_below_half, 0.32, 0.10);
   }
 }
 
 TEST(Cap, DetectionAgreesWithSimulatorTruth) {
   const Dataset& ds = campaign(Year::Y2014);
-  const CapAnalysis c = analyze_cap(ds, user_days(ds));
+  const CapAnalysis c = analyze_cap(ds.devices.size(), user_days(ds));
   // Every truly capped device should be flagged by the analysis: the
   // analysis sees the same traffic the enforcement acted on.
   int truth_users = 0;
@@ -173,8 +176,9 @@ TEST(Offload, ImpactEstimatesMatchPaperBands) {
   // §4.1: WiFi:cell ~1.4:1; ~28% of RBB volume; ~12% of a median
   // residential customer's daily download.
   const Dataset& ds = campaign(Year::Y2015);
+  const query::InMemorySource src(ds);
   const OffloadImpact o =
-      offload_impact(ds, user_days(ds), campaign_classification(Year::Y2015));
+      offload_impact(src, user_days(ds), campaign_classification(Year::Y2015));
   EXPECT_GT(o.wifi_to_cell_ratio, 1.0);
   EXPECT_LT(o.wifi_to_cell_ratio, 2.5);
   EXPECT_NEAR(o.est_rbb_share, 0.28, 0.15);
@@ -202,7 +206,7 @@ TEST(Macro, SeriesMonotoneGrowth) {
 
 TEST(Survey, DemographicsSumTo100) {
   for (Year y : kAllYears) {
-    const Demographics d = demographics(campaign(y));
+    const Demographics d = demographics(campaign_source(y));
     double sum = 0;
     for (double p : d.percent) sum += p;
     EXPECT_NEAR(sum, 100.0, 1e-9);
@@ -212,7 +216,7 @@ TEST(Survey, DemographicsSumTo100) {
 
 TEST(Survey, OfficeWorkersLargestGroup) {
   // Table 2: office workers are the top occupation (20-24%).
-  const Demographics d = demographics(campaign(Year::Y2015));
+  const Demographics d = demographics(campaign_source(Year::Y2015));
   const double office =
       d.percent[static_cast<std::size_t>(Occupation::OfficeWorker)];
   for (int o = 0; o < kNumOccupations; ++o) {
@@ -222,7 +226,7 @@ TEST(Survey, OfficeWorkersLargestGroup) {
 }
 
 TEST(Survey, ApUsageRowsSumTo100) {
-  const SurveyApUsage u = survey_ap_usage(campaign(Year::Y2015));
+  const SurveyApUsage u = survey_ap_usage(campaign_source(Year::Y2015));
   for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
     EXPECT_NEAR(u.yes[static_cast<std::size_t>(loc)] +
                     u.no[static_cast<std::size_t>(loc)] +
@@ -234,8 +238,8 @@ TEST(Survey, ApUsageRowsSumTo100) {
 TEST(Survey, Table8Shape) {
   // Home yes ~70-78%, office yes low (~26-32%), public ~45-54%, and
   // home/public grow over the years while office stays flat.
-  const SurveyApUsage u13 = survey_ap_usage(campaign(Year::Y2013));
-  const SurveyApUsage u15 = survey_ap_usage(campaign(Year::Y2015));
+  const SurveyApUsage u13 = survey_ap_usage(campaign_source(Year::Y2013));
+  const SurveyApUsage u15 = survey_ap_usage(campaign_source(Year::Y2015));
   EXPECT_NEAR(u15.yes[0], 78.2, 12.0);
   EXPECT_LT(u15.yes[1], 45.0);
   EXPECT_GT(u15.yes[0], u13.yes[0]);
@@ -245,7 +249,8 @@ TEST(Survey, Table8Shape) {
 TEST(Survey, PublicConnectivityOverReported) {
   // §4.2: users report more public connectivity than the traffic shows.
   const Dataset& ds = campaign(Year::Y2015);
-  const SurveyApUsage u = survey_ap_usage(ds);
+  const query::InMemorySource src(ds);
+  const SurveyApUsage u = survey_ap_usage(src);
   double config = 0;
   for (const DeviceTruth& t : ds.truth.devices) config += t.uses_public_wifi;
   const double truth_pct = config / static_cast<double>(ds.devices.size()) * 100;
@@ -253,7 +258,7 @@ TEST(Survey, PublicConnectivityOverReported) {
 }
 
 TEST(Survey, ReasonsOnlyWherePeopleSaidNo) {
-  const SurveyReasons r = survey_reasons(campaign(Year::Y2015));
+  const SurveyReasons r = survey_reasons(campaign_source(Year::Y2015));
   for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
     EXPECT_GT(r.respondents[static_cast<std::size_t>(loc)], 0);
     for (double p : r.percent[static_cast<std::size_t>(loc)]) {
@@ -269,8 +274,8 @@ TEST(Survey, ReasonsOnlyWherePeopleSaidNo) {
 
 TEST(Survey, SecurityConcernGrowsForPublicWifi) {
   // Table 9: public-WiFi security worry 15% (2014) -> 35% (2015).
-  const SurveyReasons r14 = survey_reasons(campaign(Year::Y2014));
-  const SurveyReasons r15 = survey_reasons(campaign(Year::Y2015));
+  const SurveyReasons r14 = survey_reasons(campaign_source(Year::Y2014));
+  const SurveyReasons r15 = survey_reasons(campaign_source(Year::Y2015));
   const auto sec = static_cast<std::size_t>(SurveyReason::SecurityIssue);
   EXPECT_GT(r15.percent[2][sec], r14.percent[2][sec]);
 }

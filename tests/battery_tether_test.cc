@@ -10,6 +10,7 @@ namespace tokyonet::analysis {
 namespace {
 
 using test::campaign;
+using test::campaign_source;
 
 TEST(Battery, LevelsInRange) {
   const Dataset& ds = campaign(Year::Y2015);
@@ -21,7 +22,8 @@ TEST(Battery, LevelsInRange) {
 
 TEST(Battery, ChargesOvernightDrainsByEvening) {
   const Dataset& ds = campaign(Year::Y2015);
-  const BatteryAnalysis b = battery_analysis(ds);
+  const query::InMemorySource src(ds);
+  const BatteryAnalysis b = battery_analysis(src);
   const auto profile = b.mean_level.ratio_series();
   // Mean level at 07:00 (post-charge) clearly exceeds 21:00 (post-day).
   const int monday = 2 * 24;
@@ -30,7 +32,7 @@ TEST(Battery, ChargesOvernightDrainsByEvening) {
 }
 
 TEST(Battery, SummaryStatsSane) {
-  const BatteryAnalysis b = battery_analysis(campaign(Year::Y2015));
+  const BatteryAnalysis b = battery_analysis(campaign_source(Year::Y2015));
   EXPECT_GT(b.mean, 40);
   EXPECT_LT(b.mean, 95);
   EXPECT_GE(b.low_share, 0.0);

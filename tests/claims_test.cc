@@ -13,6 +13,7 @@ namespace tokyonet::analysis {
 namespace {
 
 using test::campaign;
+using test::campaign_source;
 using test::campaign_classification;
 
 TEST(Interference, PublicBetterCoordinatedThanHome) {
@@ -65,7 +66,7 @@ TEST(Carriers, IosWifiRatiosSimilarAcrossCarriers) {
   // §3.3.4: "no difference in the WiFi-user ratios among three cellular
   // carriers providing iPhones".
   for (Year y : kAllYears) {
-    const auto by_carrier = ios_wifi_user_by_carrier(campaign(y));
+    const auto by_carrier = ios_wifi_user_by_carrier(campaign_source(y));
     double lo = 1.0, hi = 0.0;
     for (double v : by_carrier) {
       EXPECT_GT(v, 0.0);
@@ -82,17 +83,19 @@ TEST(Carriers, IosWifiRatiosSimilarAcrossCarriers) {
 TEST(WeekSplit, CellularWeekdayHeavyWifiWeekendHeavy) {
   // §3.1: cellular traffic is smaller on weekends, WiFi is the opposite.
   const Dataset& ds = campaign(Year::Y2015);
-  const WeekSplit cell = weekday_weekend_split(ds, Stream::CellRx);
-  const WeekSplit wifi = weekday_weekend_split(ds, Stream::WifiRx);
+  const query::InMemorySource src(ds);
+  const WeekSplit cell = weekday_weekend_split(src, Stream::CellRx);
+  const WeekSplit wifi = weekday_weekend_split(src, Stream::WifiRx);
   EXPECT_GT(cell.weekday_mbps, cell.weekend_mbps);
   EXPECT_GT(wifi.weekend_mbps, wifi.weekday_mbps);
 }
 
 TEST(WeekSplit, RatesPositive) {
   const Dataset& ds = campaign(Year::Y2013);
+  const query::InMemorySource src(ds);
   for (Stream s : {Stream::CellRx, Stream::CellTx, Stream::WifiRx,
                    Stream::WifiTx}) {
-    const WeekSplit split = weekday_weekend_split(ds, s);
+    const WeekSplit split = weekday_weekend_split(src, s);
     EXPECT_GT(split.weekday_mbps, 0.0);
     EXPECT_GT(split.weekend_mbps, 0.0);
   }

@@ -80,9 +80,9 @@ TEST(GoldenQuery, OutOfCoreFiguresMatchGoldens) {
       ++renderings;
     }
   }
-  // Every out-of-core (figure, year) combination in the catalog; grows
-  // when a figure gains an out-of-core plan.
-  EXPECT_EQ(renderings, 64);
+  // Every per-year (figure, year) combination in the catalog: all 75
+  // renderings but the two longitudinal ones (fig01, table03).
+  EXPECT_EQ(renderings, 73);
 }
 
 }  // namespace

@@ -50,17 +50,17 @@ void expect_profile_eq(const WeeklyProfile& got, const WeeklyProfile& want) {
   EXPECT_EQ(got.den_series(), want.den_series());
 }
 
-/// Runs the serial `oracle` on the campaign, then `kernel` at each
-/// thread count, handing every result to `check(got, ref)`.
+/// Runs the serial `oracle` on the campaign, then `kernel` over the
+/// campaign's query::DataSource at each thread count, handing every
+/// result to `check(got, ref)`.
 template <typename Kernel, typename Oracle, typename Check>
 void expect_matches_serial(Year y, Kernel&& kernel, Oracle&& oracle,
                            Check&& check) {
   ThreadCountGuard guard;
-  const Dataset& ds = campaign(y);
-  const auto ref = oracle(ds);
+  const auto ref = oracle(campaign(y));
   for (int threads : kThreadCounts) {
     core::set_thread_count(threads);
-    check(kernel(ds), ref);
+    check(kernel(test::campaign_source(y)), ref);
   }
 }
 
@@ -69,7 +69,10 @@ TEST(IndexEquivalence, AggregateSeries) {
     for (Stream s : {Stream::CellRx, Stream::CellTx, Stream::WifiRx,
                      Stream::WifiTx}) {
       expect_matches_serial(
-          y, [&](const Dataset& ds) { return aggregate_series(ds, s); },
+          y,
+          [&](const query::DataSource& src) {
+            return aggregate_series(src, s);
+          },
           [&](const Dataset& ds) { return serial::aggregate_series(ds, s); },
           [](const HourlySeries& got, const HourlySeries& ref) {
             EXPECT_EQ(got.mbps, ref.mbps);
@@ -87,7 +90,9 @@ TEST(IndexEquivalence, LocationSeries) {
       for (bool rx : {true, false}) {
         expect_matches_serial(
             y,
-            [&](const Dataset& ds) { return location_series(ds, cls, f, rx); },
+            [&](const query::DataSource& src) {
+              return location_series(src, cls, f, rx);
+            },
             [&](const Dataset& ds) {
               return serial::location_series(ds, cls, f, rx);
             },
@@ -103,8 +108,8 @@ TEST(IndexEquivalence, WifiLocationShares) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return wifi_location_shares(ds, campaign_classification(y));
+        [&](const query::DataSource& src) {
+          return wifi_location_shares(src, campaign_classification(y));
         },
         [&](const Dataset& ds) {
           return serial::wifi_location_shares(ds, campaign_classification(y));
@@ -122,8 +127,8 @@ TEST(IndexEquivalence, RssiAnalysis) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return rssi_analysis(ds, campaign_classification(y));
+        [&](const query::DataSource& src) {
+          return rssi_analysis(src, campaign_classification(y));
         },
         [&](const Dataset& ds) {
           return serial::rssi_analysis(ds, campaign_classification(y));
@@ -143,8 +148,8 @@ TEST(IndexEquivalence, ChannelAnalysis) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return channel_analysis(ds, campaign_classification(y));
+        [&](const query::DataSource& src) {
+          return channel_analysis(src, campaign_classification(y));
         },
         [&](const Dataset& ds) {
           return serial::channel_analysis(ds, campaign_classification(y));
@@ -162,8 +167,9 @@ TEST(IndexEquivalence, ChannelInterference) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return channel_interference(ds, campaign_classification(y),
+        [&](const query::DataSource&) {
+          // A Dataset-only kernel: it reads the resident campaign.
+          return channel_interference(campaign(y), campaign_classification(y),
                                       region.grid().num_cells());
         },
         [&](const Dataset& ds) {
@@ -185,8 +191,8 @@ TEST(IndexEquivalence, ApDensityMap) {
     for (ApClass which : {ApClass::Home, ApClass::Public}) {
       expect_matches_serial(
           y,
-          [&](const Dataset& ds) {
-            return ap_density_map(ds, campaign_classification(y), which,
+          [&](const query::DataSource& src) {
+            return ap_density_map(src, campaign_classification(y), which,
                                   region.grid().num_cells());
           },
           [&](const Dataset& ds) {
@@ -206,7 +212,8 @@ TEST(IndexEquivalence, ApDensityMap) {
 TEST(IndexEquivalence, WifiStates) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return compute_wifi_states(ds); },
+        y,
+        [](const query::DataSource& src) { return compute_wifi_states(src); },
         [](const Dataset& ds) { return serial::compute_wifi_states(ds); },
         [](const WifiStateProfiles& got, const WifiStateProfiles& ref) {
           expect_profile_eq(got.android_user, ref.android_user);
@@ -220,7 +227,10 @@ TEST(IndexEquivalence, WifiStates) {
 TEST(IndexEquivalence, IosWifiUserByCarrier) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return ios_wifi_user_by_carrier(ds); },
+        y,
+        [](const query::DataSource& src) {
+          return ios_wifi_user_by_carrier(src);
+        },
         [](const Dataset& ds) { return serial::ios_wifi_user_by_carrier(ds); },
         [](const std::array<double, kNumCarriers>& got,
            const std::array<double, kNumCarriers>& ref) {
@@ -232,7 +242,7 @@ TEST(IndexEquivalence, IosWifiUserByCarrier) {
 TEST(IndexEquivalence, VolumesOverview) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return overview(ds); },
+        y, [](const query::DataSource& src) { return overview(src); },
         [](const Dataset& ds) { return serial::overview(ds); },
         [](const DatasetOverview& got, const DatasetOverview& ref) {
           EXPECT_EQ(got.n_android, ref.n_android);
@@ -248,7 +258,10 @@ TEST(IndexEquivalence, AppBreakdown) {
     const ApClassification& cls = campaign_classification(y);
     const std::vector<GeoCell> homes = infer_home_cells(campaign(y));
     expect_matches_serial(
-        y, [&](const Dataset& ds) { return app_breakdown(ds, cls, homes); },
+        y,
+        [&](const query::DataSource& src) {
+          return app_breakdown(src, cls, homes);
+        },
         [&](const Dataset& ds) {
           return serial::app_breakdown(ds, cls, homes);
         },
@@ -271,7 +284,10 @@ TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
   opt.days = &days;
   opt.classes = &classes;
   expect_matches_serial(
-      y, [&](const Dataset& d) { return app_breakdown(d, cls, homes, opt); },
+      y,
+      [&](const query::DataSource& src) {
+        return app_breakdown(src, cls, homes, opt);
+      },
       [&](const Dataset& d) {
         return serial::app_breakdown(d, cls, homes, opt);
       },
@@ -284,7 +300,7 @@ TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
 TEST(IndexEquivalence, ScanAvailability) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return scan_availability(ds); },
+        y, [](const query::DataSource& src) { return scan_availability(src); },
         [](const Dataset& ds) { return serial::scan_availability(ds); },
         [](const ScanAvailability& got, const ScanAvailability& ref) {
           EXPECT_EQ(got.all_24, ref.all_24);
@@ -298,7 +314,7 @@ TEST(IndexEquivalence, ScanAvailability) {
 TEST(IndexEquivalence, BatteryAnalysis) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return battery_analysis(ds); },
+        y, [](const query::DataSource& src) { return battery_analysis(src); },
         [](const Dataset& ds) { return serial::battery_analysis(ds); },
         [](const BatteryAnalysis& got, const BatteryAnalysis& ref) {
           expect_profile_eq(got.mean_level, ref.mean_level);
@@ -335,12 +351,13 @@ TEST(IndexEquivalence, HomeCellsAndOffloadThreadInvariant) {
   ThreadCountGuard guard;
   for (Year y : kAllYears) {
     const Dataset& ds = campaign(y);
+    const query::InMemorySource src(ds);
     core::set_thread_count(1);
     const std::vector<GeoCell> homes_ref = infer_home_cells(ds);
-    const OffloadOpportunity off_ref = offload_opportunity(ds);
+    const OffloadOpportunity off_ref = offload_opportunity(src);
     core::set_thread_count(4);
     EXPECT_EQ(infer_home_cells(ds), homes_ref);
-    const OffloadOpportunity off = offload_opportunity(ds);
+    const OffloadOpportunity off = offload_opportunity(src);
     EXPECT_EQ(off.users_with_stable_opportunity,
               off_ref.users_with_stable_opportunity);
     EXPECT_EQ(off.offloadable_cell_share, off_ref.offloadable_cell_share);
@@ -361,6 +378,7 @@ TEST(AnalysisContextTest, MemoizesSharedIntermediates) {
 
 TEST(AnalysisContextTest, MatchesFreshComputation) {
   const Dataset& ds = campaign(Year::Y2015);
+  const query::InMemorySource src(ds);
   const AnalysisContext ctx(ds);
 
   UpdateDetectOptions uopt;
@@ -384,7 +402,7 @@ TEST(AnalysisContextTest, MatchesFreshComputation) {
     EXPECT_EQ(ctx.classifier().classify(d), classes.classify(d));
   }
 
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(src);
   const auto got = ctx.classification().counts();
   const auto want = cls.counts();
   EXPECT_EQ(got.home, want.home);
@@ -441,11 +459,12 @@ TEST(DatasetIndexTest, UnindexedDatasetThrowsFromKernels) {
     EXPECT_THROW((void)ds.index(), std::logic_error);
     EXPECT_THROW((void)ds.device_samples(DeviceId{0}), std::logic_error);
     EXPECT_THROW((void)user_days(ds), std::logic_error);
-    EXPECT_THROW((void)aggregate_series(ds, Stream::CellRx), std::logic_error);
-    EXPECT_THROW((void)compute_wifi_states(ds), std::logic_error);
-    EXPECT_THROW((void)battery_analysis(ds), std::logic_error);
+    const query::InMemorySource src(ds);
+    EXPECT_THROW((void)aggregate_series(src, Stream::CellRx), std::logic_error);
+    EXPECT_THROW((void)compute_wifi_states(src), std::logic_error);
+    EXPECT_THROW((void)battery_analysis(src), std::logic_error);
     EXPECT_THROW((void)infer_home_cells(ds), std::logic_error);
-    EXPECT_THROW((void)classify_aps(ds), std::logic_error);
+    EXPECT_THROW((void)classify_aps(src), std::logic_error);
   };
   expect_throws();
 

@@ -12,12 +12,14 @@ namespace tokyonet::analysis {
 namespace {
 
 using test::campaign;
+using test::campaign_source;
 using test::campaign_classification;
 
 TEST(Rssi, HomeStrongerThanPublic) {
   // Fig 15: home networks center near -54 dBm, public near -60 dBm.
   const RssiAnalysis r =
-      rssi_analysis(campaign(Year::Y2015), campaign_classification(Year::Y2015));
+      rssi_analysis(campaign_source(Year::Y2015),
+                    campaign_classification(Year::Y2015));
   ASSERT_GT(r.home_max_rssi.size(), 50u);
   ASSERT_GT(r.public_max_rssi.size(), 50u);
   EXPECT_NEAR(r.home_mean, -54, 6);
@@ -28,7 +30,8 @@ TEST(Rssi, HomeStrongerThanPublic) {
 TEST(Rssi, SubparShareMatchesPaper) {
   // Fig 15 / §3.4.4: ~3% of home and ~12% of public networks < -70 dBm.
   const RssiAnalysis r =
-      rssi_analysis(campaign(Year::Y2015), campaign_classification(Year::Y2015));
+      rssi_analysis(campaign_source(Year::Y2015),
+                    campaign_classification(Year::Y2015));
   EXPECT_LT(r.home_below_70_share, 0.10);
   EXPECT_NEAR(r.public_below_70_share, 0.12, 0.09);
   EXPECT_GT(r.public_below_70_share, r.home_below_70_share);
@@ -36,7 +39,8 @@ TEST(Rssi, SubparShareMatchesPaper) {
 
 TEST(Rssi, ValuesWithinRadioRange) {
   const RssiAnalysis r =
-      rssi_analysis(campaign(Year::Y2014), campaign_classification(Year::Y2014));
+      rssi_analysis(campaign_source(Year::Y2014),
+                    campaign_classification(Year::Y2014));
   for (const auto* v : {&r.home_max_rssi, &r.public_max_rssi}) {
     for (double rssi : *v) {
       ASSERT_GE(rssi, -95);
@@ -47,7 +51,8 @@ TEST(Rssi, ValuesWithinRadioRange) {
 
 TEST(Rssi, PdfHistogramsNormalized) {
   const RssiAnalysis r =
-      rssi_analysis(campaign(Year::Y2015), campaign_classification(Year::Y2015));
+      rssi_analysis(campaign_source(Year::Y2015),
+                    campaign_classification(Year::Y2015));
   const auto h = r.home_pdf();
   double integral = 0;
   for (int i = 0; i < h.bins(); ++i) integral += h.pdf(i) * h.bin_width();
@@ -55,7 +60,7 @@ TEST(Rssi, PdfHistogramsNormalized) {
 }
 
 TEST(Channels, PmfsNormalized) {
-  const ChannelAnalysis c = channel_analysis(campaign(Year::Y2015),
+  const ChannelAnalysis c = channel_analysis(campaign_source(Year::Y2015),
                                              campaign_classification(Year::Y2015));
   double home = 0, pub = 0;
   for (int ch = 0; ch < 14; ++ch) {
@@ -69,7 +74,7 @@ TEST(Channels, PmfsNormalized) {
 
 TEST(Channels, PublicConcentratedOnNonOverlapping) {
   // Fig 16: public deployments use 1/6/11.
-  const ChannelAnalysis c = channel_analysis(campaign(Year::Y2015),
+  const ChannelAnalysis c = channel_analysis(campaign_source(Year::Y2015),
                                              campaign_classification(Year::Y2015));
   const double non_overlap =
       c.public_pmf[1] + c.public_pmf[6] + c.public_pmf[11];
@@ -79,9 +84,9 @@ TEST(Channels, PublicConcentratedOnNonOverlapping) {
 TEST(Channels, HomeChannelOnePileUpRelaxesOverYears) {
   // Fig 16: 2013's home Ch1 concentration disperses by 2015.
   const ChannelAnalysis c13 = channel_analysis(
-      campaign(Year::Y2013), campaign_classification(Year::Y2013));
+      campaign_source(Year::Y2013), campaign_classification(Year::Y2013));
   const ChannelAnalysis c15 = channel_analysis(
-      campaign(Year::Y2015), campaign_classification(Year::Y2015));
+      campaign_source(Year::Y2015), campaign_classification(Year::Y2015));
   EXPECT_GT(c13.home_pmf[1], 0.20);
   EXPECT_GT(c13.home_pmf[1], c15.home_pmf[1] - 0.01);
   // Home Ch1 exceeds planned-deployment-style spread in 2013.
@@ -90,10 +95,11 @@ TEST(Channels, HomeChannelOnePileUpRelaxesOverYears) {
 
 TEST(Density, CountsMatchClassifiedAps) {
   const Dataset& ds = campaign(Year::Y2015);
+  const query::InMemorySource src(ds);
   const ApClassification& cls = campaign_classification(Year::Y2015);
   const geo::TokyoRegion region;
   const ApDensityMap m =
-      ap_density_map(ds, cls, ApClass::Home, region.grid().num_cells());
+      ap_density_map(src, cls, ApClass::Home, region.grid().num_cells());
   int total = 0;
   for (int n : m.count_by_cell) total += n;
   EXPECT_EQ(total, cls.counts().home);
@@ -105,24 +111,24 @@ TEST(Density, PublicCoverageSpreadsOverYears) {
   // Fig 10: cells with at least one public AP grow 2013 -> 2015.
   const geo::TokyoRegion region;
   const ApDensityMap m13 = ap_density_map(
-      campaign(Year::Y2013), campaign_classification(Year::Y2013),
+      campaign_source(Year::Y2013), campaign_classification(Year::Y2013),
       ApClass::Public, region.grid().num_cells());
   const ApDensityMap m15 = ap_density_map(
-      campaign(Year::Y2015), campaign_classification(Year::Y2015),
+      campaign_source(Year::Y2015), campaign_classification(Year::Y2015),
       ApClass::Public, region.grid().num_cells());
   EXPECT_GT(m15.cells_with_ap, m13.cells_with_ap);
   EXPECT_GE(m15.max_count, m13.max_count);
 }
 
 TEST(Scan, SeriesOnlyFromAvailableAndroids) {
-  const ScanAvailability s = scan_availability(campaign(Year::Y2015));
+  const ScanAvailability s = scan_availability(campaign_source(Year::Y2015));
   ASSERT_GT(s.all_24.size(), 1000u);
   EXPECT_EQ(s.all_24.size(), s.strong_24.size());
   EXPECT_EQ(s.all_24.size(), s.all_5.size());
 }
 
 TEST(Scan, StrongStochasticallyBelowAll) {
-  const ScanAvailability s = scan_availability(campaign(Year::Y2015));
+  const ScanAvailability s = scan_availability(campaign_source(Year::Y2015));
   double all = 0, strong = 0;
   for (std::size_t i = 0; i < s.all_24.size(); ++i) {
     all += s.all_24[i];
@@ -134,7 +140,7 @@ TEST(Scan, StrongStochasticallyBelowAll) {
 
 TEST(Scan, MostDevicesSeeFewAps) {
   // Fig 17: 90% of WiFi-available device-bins see < 10 2.4 GHz APs.
-  const ScanAvailability s = scan_availability(campaign(Year::Y2015));
+  const ScanAvailability s = scan_availability(campaign_source(Year::Y2015));
   const auto e = s.ccdf_all_24();
   EXPECT_LT(e.ccdf(10), 0.25);
   EXPECT_GT(e.ccdf(0.5), 0.05);  // but some do see hotspots
@@ -143,7 +149,7 @@ TEST(Scan, MostDevicesSeeFewAps) {
 TEST(Scan, FiveGhzDetectionGrowsOverYears) {
   // §3.5: 5 GHz public deployment improves markedly by 2015.
   const auto share5 = [](Year y) {
-    const ScanAvailability s = scan_availability(campaign(y));
+    const ScanAvailability s = scan_availability(campaign_source(y));
     double all24 = 0, all5 = 0;
     for (double v : s.all_24) all24 += v;
     for (double v : s.all_5) all5 += v;
@@ -155,7 +161,8 @@ TEST(Scan, FiveGhzDetectionGrowsOverYears) {
 TEST(Opportunity, BandsMatchPaper) {
   // §3.5: ~60% of WiFi-available users have a stable public option and
   // 15-20% of their cellular traffic is offloadable.
-  const OffloadOpportunity o = offload_opportunity(campaign(Year::Y2015));
+  const OffloadOpportunity o =
+      offload_opportunity(campaign_source(Year::Y2015));
   ASSERT_GT(o.num_wifi_available_users, 10);
   EXPECT_GT(o.users_with_stable_opportunity, 0.30);
   EXPECT_LE(o.users_with_stable_opportunity, 1.0);
@@ -163,8 +170,10 @@ TEST(Opportunity, BandsMatchPaper) {
 }
 
 TEST(Opportunity, GrowsWithDeployment) {
-  const OffloadOpportunity o13 = offload_opportunity(campaign(Year::Y2013));
-  const OffloadOpportunity o15 = offload_opportunity(campaign(Year::Y2015));
+  const OffloadOpportunity o13 =
+      offload_opportunity(campaign_source(Year::Y2013));
+  const OffloadOpportunity o15 =
+      offload_opportunity(campaign_source(Year::Y2015));
   EXPECT_GT(o15.users_with_stable_opportunity,
             o13.users_with_stable_opportunity);
 }

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "analysis/aggregate.h"
+#include "analysis/context.h"
+#include "analysis/ratios.h"
 #include "core/parallel.h"
 #include "core/records.h"
 #include "core/scenario.h"
@@ -209,6 +211,17 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   const query::InMemorySource mem(ds);
   const analysis::AllStreamSums expected =
       analysis::aggregate_all_streams(mem);
+  // The ratio fold merges floating-point per-device partials one device
+  // at a time, so its bytes depend on keeping that grouping across
+  // blocks, not on integer associativity.
+  const analysis::AnalysisContext ctx(mem);
+  const analysis::WifiRatios expected_ratios = analysis::compute_wifi_ratios(
+      mem, ctx.days(), ctx.classifier());
+  const auto profiles = [](const analysis::WifiRatios& r) {
+    return std::vector<const analysis::WeeklyProfile*>{
+        &r.traffic_all,   &r.users_all,   &r.traffic_heavy,
+        &r.traffic_light, &r.users_heavy, &r.users_light};
+  };
 
   for (const std::size_t k :
        {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
@@ -223,6 +236,17 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
     }
     EXPECT_EQ(ooc.lte.total, expected.lte.total) << "resident_shards=" << k;
     EXPECT_EQ(ooc.lte.lte, expected.lte.lte) << "resident_shards=" << k;
+
+    const analysis::WifiRatios ratios =
+        analysis::compute_wifi_ratios(src, ctx.days(), ctx.classifier());
+    for (std::size_t p = 0; p < 6; ++p) {
+      EXPECT_EQ(profiles(ratios)[p]->num_series(),
+                profiles(expected_ratios)[p]->num_series())
+          << "profile=" << p << " resident_shards=" << k;
+      EXPECT_EQ(profiles(ratios)[p]->den_series(),
+                profiles(expected_ratios)[p]->den_series())
+          << "profile=" << p << " resident_shards=" << k;
+    }
   }
 
   // Figure-level identity through Runner::adopt_shards_out_of_core.
@@ -236,7 +260,7 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   EXPECT_TRUE(out_of_core.out_of_core(Year::Y2013));
   EXPECT_THROW((void)out_of_core.dataset(Year::Y2013), std::logic_error);
   const auto& registry = report::FigureRegistry::instance();
-  for (const char* id : {"table01", "fig02", "fig12"}) {
+  for (const char* id : {"table01", "fig02", "fig06", "fig07", "fig12"}) {
     const report::FigureSpec* spec = registry.find(id);
     ASSERT_NE(spec, nullptr) << id;
     ASSERT_TRUE(spec->out_of_core) << id;

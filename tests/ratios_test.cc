@@ -21,10 +21,11 @@ const YearRatios& year_ratios(Year y) {
   const int i = static_cast<int>(y);
   if (cache[i] == nullptr) {
     const Dataset& ds = campaign(y);
+    const query::InMemorySource src(ds);
     const auto days = user_days(ds);
     const UserClassifier classes(days);
-    auto* yr = new YearRatios{compute_wifi_ratios(ds, days, classes),
-                              compute_wifi_states(ds)};
+    auto* yr = new YearRatios{compute_wifi_ratios(src, days, classes),
+                              compute_wifi_states(src)};
     cache[i] = yr;
   }
   return *cache[i];

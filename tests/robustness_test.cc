@@ -27,18 +27,20 @@ using test::empty_dataset;
 TEST(Robustness, EmptyDatasetEverywhere) {
   Dataset ds = empty_dataset(0, 1);
   test::build_index(ds);
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   const auto days = user_days(ds);
   EXPECT_TRUE(days.empty());
   EXPECT_EQ(cls.counts().total, 0);
   EXPECT_EQ(detect_updates(ds).num_ios, 0);
-  EXPECT_EQ(scan_availability(ds).all_24.size(), 0u);
-  EXPECT_EQ(offload_opportunity(ds).num_wifi_available_users, 0);
-  const CapAnalysis cap = analyze_cap(ds, days);
+  EXPECT_EQ(scan_availability(query::InMemorySource(ds)).all_24.size(), 0u);
+  EXPECT_EQ(
+      offload_opportunity(query::InMemorySource(ds)).num_wifi_available_users,
+      0);
+  const CapAnalysis cap = analyze_cap(ds.devices.size(), days);
   EXPECT_DOUBLE_EQ(cap.capped_user_share, 0.0);
-  const UserTypeStats ut = user_type_stats(ds, days);
+  const UserTypeStats ut = user_type_stats(ds.devices.size(), days);
   EXPECT_DOUBLE_EQ(ut.mixed_frac, 0.0);
-  const auto agg = aggregate_series(ds, Stream::WifiRx);
+  const auto agg = aggregate_series(query::InMemorySource(ds), Stream::WifiRx);
   EXPECT_DOUBLE_EQ(agg.total_mb(), 0.0);
 }
 
@@ -51,7 +53,7 @@ TEST(Robustness, DeviceWithNoSamples) {
   EXPECT_EQ(ds.device_samples(DeviceId{1}).size(), 1u);
   const auto days = user_days(ds);
   EXPECT_EQ(days.size(), 6u);  // rows exist for idle devices too
-  const auto cls = classify_aps(ds);
+  const auto cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.home_ap_of_device[0], kNoAp);
 }
 
@@ -64,8 +66,9 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   // bins 12-19 missing (upload failure)
   add_sample(ds, 0, 20, 0, 100, WifiState::Associated, ap);
   test::build_index(ds);
-  ApClassification cls = classify_aps(ds);
-  const AssociationDurations d = association_durations(ds, cls);
+  ApClassification cls = classify_aps(query::InMemorySource(ds));
+  const AssociationDurations d =
+      association_durations(query::InMemorySource(ds), cls);
   std::size_t runs =
       d.home_hours.size() + d.public_hours.size() + d.office_hours.size();
   // The AP is "other" (non-office here), so durations may be empty; use
@@ -76,8 +79,9 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   add_sample(ds2, 0, 11, 0, 100, WifiState::Associated, pub);
   add_sample(ds2, 0, 20, 0, 100, WifiState::Associated, pub);
   test::build_index(ds2);
-  cls = classify_aps(ds2);
-  const AssociationDurations d2 = association_durations(ds2, cls);
+  cls = classify_aps(query::InMemorySource(ds2));
+  const AssociationDurations d2 =
+      association_durations(query::InMemorySource(ds2), cls);
   ASSERT_EQ(d2.public_hours.size(), 2u);  // split, not merged
   EXPECT_DOUBLE_EQ(d2.public_hours[0], 2.0 / 6);
   EXPECT_DOUBLE_EQ(d2.public_hours[1], 1.0 / 6);
@@ -99,7 +103,8 @@ TEST(Robustness, AllZeroTrafficPopulation) {
   EXPECT_DOUBLE_EQ(f.zero_cell_share, 1.0);
   EXPECT_DOUBLE_EQ(f.zero_wifi_share, 1.0);
   const UserClassifier classes(days);
-  const WifiRatios r = compute_wifi_ratios(ds, days, classes);
+  const WifiRatios r =
+      compute_wifi_ratios(query::InMemorySource(ds), days, classes);
   for (double v : r.traffic_all.ratio_series()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
@@ -111,7 +116,7 @@ TEST(Robustness, CapAnalysisNeedsFullLookback) {
     add_sample(ds, 0, static_cast<TimeBin>(d * kBinsPerDay), 500'000'000u, 0);
   }
   test::build_index(ds);
-  const CapAnalysis c = analyze_cap(ds, user_days(ds));
+  const CapAnalysis c = analyze_cap(ds.devices.size(), user_days(ds));
   EXPECT_EQ(c.ratio_capped.size() + c.ratio_others.size(), 0u);
 }
 
@@ -120,7 +125,7 @@ TEST(Robustness, WeeklyProfilesHandlePartialWeeks) {
   Dataset ds = empty_dataset(1, 3);
   add_sample(ds, 0, 0, 1'000'000u, 0);
   test::build_index(ds);
-  const WifiStateProfiles p = compute_wifi_states(ds);
+  const WifiStateProfiles p = compute_wifi_states(query::InMemorySource(ds));
   const auto series = p.android_user.ratio_series();
   EXPECT_EQ(series.size(), static_cast<std::size_t>(WeeklyProfile::kHours));
 }
@@ -141,8 +146,8 @@ TEST(Robustness, RssiAnalysisWithNoWifi) {
   Dataset ds = empty_dataset(2, 2);
   add_sample(ds, 0, 0, 1'000'000u, 0);
   test::build_index(ds);
-  const auto cls = classify_aps(ds);
-  const RssiAnalysis r = rssi_analysis(ds, cls);
+  const auto cls = classify_aps(query::InMemorySource(ds));
+  const RssiAnalysis r = rssi_analysis(query::InMemorySource(ds), cls);
   EXPECT_TRUE(r.home_max_rssi.empty());
   EXPECT_DOUBLE_EQ(r.home_mean, 0.0);
 }

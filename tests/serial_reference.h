@@ -42,6 +42,16 @@ namespace tokyonet::analysis::serial {
   return static_cast<std::size_t>(s.bin / kBinsPerHour);
 }
 
+/// Hour byte sums to Mbps (bytes per hour x 8 bits / 3600 s / 1e6).
+[[nodiscard]] inline HourlySeries mbps_series(
+    const std::vector<std::uint64_t>& sums) {
+  HourlySeries out;
+  for (const std::uint64_t b : sums) {
+    out.mbps.push_back(static_cast<double>(b) * (8.0 / 3600.0 / 1e6));
+  }
+  return out;
+}
+
 [[nodiscard]] inline bool associated(const Sample& s) {
   return s.wifi_state == WifiState::Associated && s.ap != kNoAp;
 }
@@ -57,7 +67,7 @@ namespace tokyonet::analysis::serial {
       case Stream::WifiTx: total[hour_of(s)] += s.wifi_tx; break;
     }
   }
-  return hourly_series_from_sums(total);
+  return mbps_series(total);
 }
 
 [[nodiscard]] inline HourlySeries location_series(const Dataset& ds,
@@ -70,7 +80,7 @@ namespace tokyonet::analysis::serial {
     if (filter.office_only && !cls.is_office[value(s.ap)]) continue;
     total[hour_of(s)] += rx ? s.wifi_rx : s.wifi_tx;
   }
-  return hourly_series_from_sums(total);
+  return mbps_series(total);
 }
 
 [[nodiscard]] inline WifiLocationShares wifi_location_shares(

@@ -1,5 +1,6 @@
 // Sharded campaign store (io/shard_store.h) + streaming runner
-// (sim/stream_runner.h) + out-of-core battery (report/sharded.h):
+// (sim/stream_runner.h) + the out-of-core headline battery (a Runner
+// over Runner::adopt_shards_out_of_core):
 // byte-identity against the one-shot simulator at several shard
 // counts, the failure modes of the directory format, and the sharded
 // campaign-cache storage mode.
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/context.h"
@@ -22,7 +24,6 @@
 #include "io/snapshot.h"
 #include "report/registry.h"
 #include "report/runner.h"
-#include "report/sharded.h"
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
@@ -65,6 +66,36 @@ io::ShardedDataset stream_and_open(const ScenarioConfig& config,
   const io::SnapshotResult r = io::ShardedDataset::open(dir, store);
   EXPECT_TRUE(r.ok()) << r.error;
   return store;
+}
+
+/// The headline battery of `tokyonet report` (table01, fig02, fig05,
+/// table04, sec35_opportunity, + fig18 for the 2015 campaign), rendered
+/// by a Runner that scans the store at `dir` out of core with
+/// `resident_shards` = K. On failure `out` is left empty and the scan's
+/// error is returned.
+io::SnapshotResult run_battery_out_of_core(Year year, const fs::path& dir,
+                                           std::vector<report::Table>& out,
+                                           std::size_t resident_shards = 1) {
+  out.clear();
+  report::Runner runner;
+  if (io::SnapshotResult r =
+          runner.adopt_shards_out_of_core(year, dir, resident_shards);
+      !r.ok()) {
+    return r;
+  }
+  std::vector<report::Table> tables;
+  try {
+    for (const char* id : {"table01", "fig02", "fig05", "table04",
+                           "sec35_opportunity", "fig18"}) {
+      if (std::string_view(id) == "fig18" && year != Year::Y2015) continue;
+      tables.push_back(
+          runner.run(*report::FigureRegistry::instance().find(id), year));
+    }
+  } catch (const analysis::query::SourceError& e) {
+    return e.result();
+  }
+  out = std::move(tables);
+  return {};
 }
 
 // --- Byte identity -----------------------------------------------------
@@ -205,7 +236,8 @@ TEST(ShardStore, OutOfCoreBatteryMatchesRunner) {
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 5);
 
   std::vector<report::Table> tables;
-  const io::SnapshotResult b = report::run_sharded_battery(store, tables);
+  const io::SnapshotResult b =
+      run_battery_out_of_core(store.year(), tmp.path / "store", tables);
   ASSERT_TRUE(b.ok()) << b.error;
   ASSERT_EQ(tables.size(), 6u);  // 2015: headline five + fig18
 
@@ -229,7 +261,8 @@ TEST(ShardStore, OutOfCoreBatterySkipsFig18Before2015) {
   TempDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 2);
   std::vector<report::Table> tables;
-  ASSERT_TRUE(report::run_sharded_battery(store, tables).ok());
+  ASSERT_TRUE(
+      run_battery_out_of_core(store.year(), tmp.path / "store", tables).ok());
   ASSERT_EQ(tables.size(), 5u);
   for (const report::Table& t : tables) EXPECT_NE(t.id, "fig18");
 }
@@ -407,7 +440,7 @@ TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
 
     std::vector<report::Table> tables;
     const io::SnapshotResult b =
-        report::run_sharded_battery(store, tables, {k});
+        run_battery_out_of_core(store.year(), tmp.path / "store", tables, k);
     EXPECT_FALSE(b.ok()) << "resident_shards=" << k;
     EXPECT_NE(b.error.find("checksum"), std::string::npos)
         << "resident_shards=" << k << ": " << b.error;
@@ -425,10 +458,11 @@ TEST(ShardPipeline, ParallelScanMatchesSequential) {
   TempDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 16);
 
+  const fs::path dir = tmp.path / "store";
   std::vector<report::Table> sequential;
-  ASSERT_TRUE(report::run_sharded_battery(store, sequential, {0}).ok());
+  ASSERT_TRUE(run_battery_out_of_core(store.year(), dir, sequential, 0).ok());
   std::vector<report::Table> parallel;
-  ASSERT_TRUE(report::run_sharded_battery(store, parallel, {4}).ok());
+  ASSERT_TRUE(run_battery_out_of_core(store.year(), dir, parallel, 4).ok());
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(report::to_canonical_json(parallel[i]),
@@ -506,8 +540,8 @@ TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
     for (const std::size_t k : {std::size_t{0}, std::size_t{1},
                                 std::size_t{2}, std::size_t{4}}) {
       std::vector<report::Table> tables;
-      const io::SnapshotResult b =
-          report::run_sharded_battery(store, tables, {k});
+      const io::SnapshotResult b = run_battery_out_of_core(
+          store.year(), tmp.path / "store", tables, k);
       ASSERT_TRUE(b.ok()) << "shards=" << shards << " K=" << k << ": "
                           << b.error;
       ASSERT_EQ(tables.size(), 6u) << "shards=" << shards << " K=" << k;

@@ -183,16 +183,18 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Snapshot, AnalysisIdenticalAfterReload) {
   const Year year = Year::Y2014;
   const Dataset& fresh = test::campaign(year);
+  const analysis::query::InMemorySource fresh_src(fresh);
   TempDir tmp;
   const fs::path file = tmp.path / "campaign.tksnap";
   ASSERT_TRUE(io::save_snapshot(fresh, file).ok());
   Dataset loaded;
   const io::SnapshotResult r = io::load_snapshot(file, loaded);
   ASSERT_TRUE(r.ok()) << r.error;
+  const analysis::query::InMemorySource loaded_src(loaded);
 
   // Classification: byte-identical per-AP classes and home-AP inference.
-  const analysis::ApClassification ca = analysis::classify_aps(fresh);
-  const analysis::ApClassification cb = analysis::classify_aps(loaded);
+  const analysis::ApClassification ca = analysis::classify_aps(fresh_src);
+  const analysis::ApClassification cb = analysis::classify_aps(loaded_src);
   EXPECT_EQ(ca.ap_class, cb.ap_class);
   EXPECT_EQ(ca.associated, cb.associated);
   EXPECT_EQ(ca.is_office, cb.is_office);
@@ -207,9 +209,10 @@ TEST(Snapshot, AnalysisIdenticalAfterReload) {
   // WiFi ratios: bit-identical weekly series.
   const analysis::UserClassifier ka(da);
   const analysis::UserClassifier kb(db);
-  const analysis::WifiRatios ra = analysis::compute_wifi_ratios(fresh, da, ka);
+  const analysis::WifiRatios ra =
+      analysis::compute_wifi_ratios(fresh_src, da, ka);
   const analysis::WifiRatios rb =
-      analysis::compute_wifi_ratios(loaded, db, kb);
+      analysis::compute_wifi_ratios(loaded_src, db, kb);
   const auto expect_profile_eq = [](const analysis::WeeklyProfile& x,
                                     const analysis::WeeklyProfile& y,
                                     const char* what) {

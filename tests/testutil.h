@@ -11,6 +11,7 @@
 #include <string>
 
 #include "analysis/classify.h"
+#include "analysis/query/source.h"
 #include "core/records.h"
 #include "core/scenario.h"
 #include "sim/simulator.h"
@@ -30,13 +31,23 @@ inline const Dataset& campaign(Year year) {
   return *cache[i];
 }
 
+/// The shared campaign as the query::DataSource analysis kernels read.
+inline const analysis::query::DataSource& campaign_source(Year year) {
+  static const analysis::query::InMemorySource* cache[kNumYears] = {};
+  const int i = static_cast<int>(year);
+  if (cache[i] == nullptr) {
+    cache[i] = new analysis::query::InMemorySource(campaign(year));
+  }
+  return *cache[i];
+}
+
 /// Cached AP classification for the shared campaign.
 inline const analysis::ApClassification& campaign_classification(Year year) {
   static const analysis::ApClassification* cache[kNumYears] = {};
   const int i = static_cast<int>(year);
   if (cache[i] == nullptr) {
     cache[i] = new analysis::ApClassification(
-        analysis::classify_aps(campaign(year)));
+        analysis::classify_aps(campaign_source(year)));
   }
   return *cache[i];
 }

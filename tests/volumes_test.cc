@@ -12,6 +12,7 @@ namespace {
 
 using test::add_sample;
 using test::campaign;
+using test::campaign_source;
 using test::empty_dataset;
 
 TEST(UserDays, OneRowPerDevicePerDay) {
@@ -115,8 +116,8 @@ TEST(WeeklyProfile, RatioAndMean) {
 
 TEST(Overview, MatchesTable1Shape) {
   // Device counts scale with the panel; %LTE grows 25% -> 80% (Table 1).
-  const DatasetOverview o13 = overview(campaign(Year::Y2013));
-  const DatasetOverview o15 = overview(campaign(Year::Y2015));
+  const DatasetOverview o13 = overview(campaign_source(Year::Y2013));
+  const DatasetOverview o15 = overview(campaign_source(Year::Y2015));
   EXPECT_GT(o13.n_android, 0);
   EXPECT_GT(o13.n_ios, 0);
   EXPECT_EQ(o13.n_total, o13.n_android + o13.n_ios);

@@ -29,6 +29,16 @@ expect() {
 expect 0 "${tokyonet}" fig list
 expect 0 "${tokyonet}" fig run table01 --year 2015 --scale 0.02 --format json
 
+# Machine output stays machine-readable: with the campaign cache on, the
+# cache hit/miss diagnostics go to stderr and stdout is pure JSON.
+mkdir "${tmp}/cache"
+TOKYONET_CACHE_DIR="${tmp}/cache" "${tokyonet}" fig run table01 \
+    --year 2015 --scale 0.02 --format json 2>/dev/null \
+  | python3 -m json.tool >/dev/null || {
+  echo "FAIL: fig run --format json stdout is not JSON with" \
+       "TOKYONET_CACHE_DIR set" >&2; exit 1; }
+echo "ok: --format json stdout parses with the campaign cache on"
+
 # 2: bad usage and malformed flags (strict numeric parsing).
 expect 2 "${tokyonet}" bogus-command
 expect 2 "${tokyonet}" fig run table01 --year 20x5
@@ -58,33 +68,36 @@ expect 0 "${tokyonet}" snapshot info --in "${tmp}/shards"
 expect 0 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core
 expect 2 "${tokyonet}" report --out-of-core  # needs --shard-dir
 
-# Out-of-core figure rendering: any ooc-flagged figure works, a figure
-# whose kernels need the resident dataset is rejected with 2 (and the
-# supported ids on stderr), and --out-of-core without a store is usage.
+# Out-of-core figure rendering: every per-year figure works (the Fig 6
+# ratio scan included), a longitudinal figure — it spans all three
+# campaigns, a store holds one — is rejected with 2 (and the supported
+# ids on stderr), and --out-of-core without a store is usage.
 expect 0 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
     --out-of-core
 expect 0 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards" \
     --out-of-core --resident-shards 2
-expect 2 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
-    --out-of-core  # float accumulation: not shard-decomposable
+expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
+    --out-of-core
+expect 2 "${tokyonet}" fig run fig01 --shard-dir "${tmp}/shards" \
+    --out-of-core  # longitudinal
 expect 2 "${tokyonet}" fig run table01 --out-of-core  # needs --shard-dir
-rejection="$("${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
+rejection="$("${tokyonet}" fig run fig01 --shard-dir "${tmp}/shards" \
     --out-of-core 2>&1 || true)"
 if ! echo "${rejection}" | grep -q "fig12"; then
   echo "FAIL: rejected --out-of-core run must list the supported ids" >&2
   exit 1
 fi
-echo "ok: non-ooc rejection lists supported ids"
+echo "ok: longitudinal rejection lists supported ids"
 
-# `fig list` carries the ooc column: table01 can run out of core, the
-# Fig 6 ratio scan cannot.
+# `fig list` carries the ooc column: the per-year Fig 6 ratio scan runs
+# out of core, the longitudinal Fig 1 does not.
 list="$("${tokyonet}" fig list)"
 echo "${list}" | grep -q " ooc " || {
   echo "FAIL: fig list is missing the ooc column" >&2; exit 1; }
-echo "${list}" | grep "^table01 " | grep -q " yes " || {
-  echo "FAIL: table01 must be marked ooc=yes" >&2; exit 1; }
-if echo "${list}" | grep "^fig06 " | grep -q " yes "; then
-  echo "FAIL: fig06 must not be marked ooc" >&2; exit 1
+echo "${list}" | grep "^fig06 " | grep -q " yes " || {
+  echo "FAIL: fig06 must be marked ooc=yes" >&2; exit 1; }
+if echo "${list}" | grep "^fig01 " | grep -q " yes "; then
+  echo "FAIL: fig01 must not be marked ooc" >&2; exit 1
 fi
 echo "ok: fig list ooc column pins the out-of-core catalog"
 

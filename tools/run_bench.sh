@@ -187,12 +187,15 @@ for bin in "${benches[@]}"; do
 done
 
 # Campaign-cache effectiveness: the bench binaries print one
-# "tokyonet-cache: hit|miss <path>" line per campaign they materialize.
+# "tokyonet-cache: hit|miss <path>" line per campaign they materialize,
+# on stderr, which the .log files capture along with stdout. The match
+# is unanchored: the unbuffered stderr line can land after a partial,
+# not yet newline-terminated block of buffered stdout.
 cache_hits=0
 cache_misses=0
 if [ -n "${cache_dir}" ]; then
-  cache_hits="$(cat "${tmp_dir}"/*.log | grep -c '^tokyonet-cache: hit ' || true)"
-  cache_misses="$(cat "${tmp_dir}"/*.log | grep -c '^tokyonet-cache: miss ' || true)"
+  cache_hits="$(cat "${tmp_dir}"/*.log | grep -c 'tokyonet-cache: hit ' || true)"
+  cache_misses="$(cat "${tmp_dir}"/*.log | grep -c 'tokyonet-cache: miss ' || true)"
   echo "campaign cache: ${cache_hits} hits, ${cache_misses} misses"
 fi
 

@@ -14,9 +14,9 @@
 //       from a sharded store instead of simulation
 //       (--resident-shards >= 1 overlaps shard loads with the rebase).
 //       Adding --out-of-core renders the figure by scanning shards with
-//       bounded memory (never materializing the campaign); figures
-//       whose kernels need the resident dataset are rejected with exit
-//       2 and the list of supported ids.
+//       bounded memory (never materializing the campaign); the
+//       longitudinal figures, which span all three campaigns, are
+//       rejected with exit 2 and the list of supported ids.
 //
 //   tokyonet fig all [--format text|csv|json] [--shard-dir DIR]
 //                    [--out-of-core] [--resident-shards K]
@@ -34,11 +34,12 @@
 //   tokyonet report (--in DIR | --shard-dir DIR [--out-of-core]
 //                    [--resident-shards K] | --year Y [--scale S])
 //       Print the headline reproductions for a dataset through the
-//       figure registry (Table 1/4, user types, offload opportunity,
-//       and for 2015 the update event). --shard-dir reads a sharded
-//       campaign store; with --out-of-core the battery is computed by
-//       scanning shards with bounded memory instead of materializing
-//       the campaign: --resident-shards K (default 1, or
+//       figure registry (Table 1, Fig 2, user types, Table 4, offload
+//       opportunity, and for 2015 the update event). --shard-dir reads
+//       a sharded campaign store; with --out-of-core the figures are
+//       computed by scanning shards with bounded memory instead of
+//       materializing the campaign, exactly as `fig run --out-of-core`
+//       does: --resident-shards K (default 1, or
 //       TOKYONET_RESIDENT_SHARDS) pipelines the scan with at most K+1
 //       shards resident — 0 restores the strict one-shard-at-a-time
 //       scan — and the tables are byte-identical at every K.
@@ -89,6 +90,8 @@
 // flags; 3 load/IO failure (missing input, unreadable file); 4
 // verification failure (golden mismatch, corrupt snapshot, ingested
 // stream summary != batch).
+#include <malloc.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -100,6 +103,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -115,7 +119,6 @@
 #include "report/golden.h"
 #include "report/registry.h"
 #include "report/runner.h"
-#include "report/sharded.h"
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
@@ -404,6 +407,17 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
                  dir.c_str(), m.year);
     return kExitVerify;
   }
+  if (out_of_core) {
+    // The out-of-core bound is K+1 resident shards plus O(devices + aps)
+    // state. glibc's malloc would add 64 MB of reserved address space
+    // per allocating thread (pool workers, K scanners, the prefetcher):
+    // several times the bound, all of it counted by `ulimit -v`. One
+    // shared arena keeps the address space near the resident set;
+    // small allocations stay thread-local in its per-thread cache.
+#ifdef M_ARENA_MAX
+    mallopt(M_ARENA_MAX, 1);
+#endif
+  }
   const io::SnapshotResult a =
       out_of_core
           ? runner.adopt_shards_out_of_core(*year, dir, resident_shards)
@@ -417,12 +431,13 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
 }
 
 // The non-negotiable precondition of --out-of-core figure rendering: a
-// store to scan, and a figure whose kernels are shard-decomposable.
-// Prints the supported ids on rejection so the caller can pick one.
+// store to scan, and a per-year figure — a longitudinal one spans all
+// three campaigns, while a store holds one. Prints the supported ids on
+// rejection so the caller can pick one.
 int reject_non_ooc_figure(const report::FigureSpec& spec) {
   std::fprintf(stderr,
-               "%s cannot run out-of-core (its kernels need the resident "
-               "dataset); supported ids:\n",
+               "%s cannot run out-of-core (it is longitudinal: it spans "
+               "every campaign, a shard store holds one); supported ids:\n",
                spec.id.c_str());
   for (const report::FigureSpec& s :
        report::FigureRegistry::instance().figures()) {
@@ -618,8 +633,8 @@ Dataset make_dataset(const Args& args, Year year) {
   sim::CampaignCacheStatus status;
   Dataset ds = sim::cached_campaign(config, &status);
   if (status.enabled) {
-    std::printf("tokyonet-cache: %s %s\n", status.hit ? "hit" : "miss",
-                status.path.string().c_str());
+    std::fprintf(stderr, "tokyonet-cache: %s %s\n",
+                 status.hit ? "hit" : "miss", status.path.string().c_str());
     if (!status.detail.empty()) {
       std::fprintf(stderr, "tokyonet-cache: note: %s\n",
                    status.detail.c_str());
@@ -629,28 +644,24 @@ Dataset make_dataset(const Args& args, Year year) {
 }
 
 // The headline reproductions for one campaign year, rendered through
-// the registry: dataset/panel overview, AP census, user types, offload
-// opportunity, and (2015) the iOS update event.
+// the registry on whichever backend the runner holds for `year`:
+// dataset/panel overview, aggregate traffic, user types, AP census,
+// offload opportunity, and (2015) the iOS update event.
 void print_report(report::Runner& runner, Year year) {
-  const Dataset& ds = runner.dataset(year);
+  const analysis::query::DataSource& src = runner.analysis(year).source();
   std::printf("dataset: %s campaign, %d days, %zu devices, %zu samples\n",
-              std::string(to_string(ds.year)).c_str(), ds.num_days(),
-              ds.devices.size(), ds.samples.size());
+              std::string(to_string(src.year())).c_str(), src.num_days(),
+              src.n_devices(), src.n_samples());
 
   const auto& registry = report::FigureRegistry::instance();
   static constexpr const char* kHeadline[] = {
-      "table01", "table04", "fig05", "sec35_opportunity"};
+      "table01", "fig02", "fig05", "table04", "sec35_opportunity", "fig18"};
   for (const char* id : kHeadline) {
-    const report::FigureSpec* spec = registry.find(id);
-    if (spec == nullptr) continue;
+    // The 2013/2014 campaigns have no in-campaign iOS release.
+    if (std::string_view(id) == "fig18" && year != Year::Y2015) continue;
     std::printf("\n");
-    std::fputs(report::to_text(runner.run(*spec, year)).c_str(), stdout);
-  }
-  if (year == Year::Y2015) {
-    if (const report::FigureSpec* spec = registry.find("fig18")) {
-      std::printf("\n");
-      std::fputs(report::to_text(runner.run(*spec, year)).c_str(), stdout);
-    }
+    std::fputs(report::to_text(runner.run(*registry.find(id), year)).c_str(),
+               stdout);
   }
   std::printf("\n(full catalog: tokyonet fig list)\n");
 }
@@ -673,52 +684,17 @@ int cmd_simulate(const Args& args) {
   return kExitOk;
 }
 
-// The headline battery computed out-of-core: the registry's battery
-// figures rendered over a query::ShardedSource with at most
-// --resident-shards + 1 shards resident (one when K = 0). Same tables
-// (byte-identical canonical JSON) as the in-memory report at every K,
-// bounded memory.
-int cmd_report_out_of_core(const Args& args) {
-  io::ShardedDataset store;
-  const io::SnapshotResult r = io::ShardedDataset::open(args.shard_dir, store);
-  if (!r.ok()) {
-    std::fprintf(stderr, "shard store: %s\n", r.error.c_str());
-    return snapshot_failure_code(args.shard_dir);
-  }
-  const io::ShardManifest& m = store.manifest();
-  std::printf("dataset: %s campaign, %d days, %" PRIu64 " devices, %" PRIu64
-              " samples (%zu shards, out-of-core)\n",
-              std::string(to_string(store.year())).c_str(), m.num_days,
-              m.n_devices, m.n_samples, store.num_shards());
-
-  std::vector<report::Table> tables;
-  const io::SnapshotResult b = report::run_sharded_battery(
-      store, tables, {args.resident_shards});
-  if (!b.ok()) {
-    std::fprintf(stderr, "out-of-core battery failed: %s\n", b.error.c_str());
-    return snapshot_failure_code(args.shard_dir);
-  }
-  for (const report::Table& t : tables) {
-    std::printf("\n");
-    std::fputs(report::to_text(t).c_str(), stdout);
-  }
-  std::printf("\n(full catalog: tokyonet fig list)\n");
-  return kExitOk;
-}
-
 int cmd_report(const Args& args) {
   if (args.out_of_core && args.shard_dir.empty()) {
     std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
     return kExitUsage;
   }
-  if (!args.shard_dir.empty() && args.out_of_core) {
-    return cmd_report_out_of_core(args);
-  }
   report::Runner runner(runner_options(args));
   Year year;
   if (!args.shard_dir.empty()) {
     const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, false, year);
+                                   args.resident_shards, args.out_of_core,
+                                   year);
     if (rc != kExitOk) return rc;
   } else if (!args.in_dir.empty()) {
     Dataset ds;
@@ -922,8 +898,8 @@ int cmd_snapshot_warm(const Args& args) {
     sim::CampaignCacheStatus status;
     const Dataset ds = sim::cached_campaign(config, &status);
     if (status.enabled) {
-      std::printf("tokyonet-cache: %s %s\n", status.hit ? "hit" : "miss",
-                  status.path.string().c_str());
+      std::fprintf(stderr, "tokyonet-cache: %s %s\n",
+                   status.hit ? "hit" : "miss", status.path.string().c_str());
       if (!status.detail.empty()) {
         std::fprintf(stderr, "tokyonet-cache: note: %s\n",
                      status.detail.c_str());
