@@ -7,53 +7,62 @@
 
 namespace tokyonet::core {
 
+namespace {
+
+template <typename T>
+[[nodiscard]] T* allocate(Column<T>& col, std::size_t n) {
+  col.resize_for_overwrite(n);
+  return col.data();
+}
+
+}  // namespace
+
+DatasetIndex::ColumnWriter::ColumnWriter(DatasetIndex& idx, std::size_t n)
+    : bin(allocate(idx.bin_, n)),
+      cell_rx(allocate(idx.cell_rx_, n)),
+      cell_tx(allocate(idx.cell_tx_, n)),
+      wifi_rx(allocate(idx.wifi_rx_, n)),
+      wifi_tx(allocate(idx.wifi_tx_, n)),
+      ap(allocate(idx.ap_, n)),
+      wifi_state(allocate(idx.wifi_state_, n)),
+      tech(allocate(idx.tech_, n)),
+      battery(allocate(idx.battery_, n)),
+      rssi(allocate(idx.rssi_, n)),
+      geo(allocate(idx.geo_, n)),
+      app_count(allocate(idx.app_count_, n)),
+      flags(allocate(idx.flags_, n)),
+      scan24_all(allocate(idx.scan24_all_, n)),
+      scan24_strong(allocate(idx.scan24_strong_, n)),
+      scan5_all(allocate(idx.scan5_all_, n)),
+      scan5_strong(allocate(idx.scan5_strong_, n)) {}
+
+void DatasetIndex::fill_hour_of_week(const CampaignCalendar& cal) {
+  // Saturday-based, to match WeeklyProfile's axes.
+  hour_of_week_.resize(static_cast<std::size_t>(cal.num_bins()));
+  for (int day = 0; day < cal.num_days(); ++day) {
+    const int sat_based =
+        (static_cast<int>(cal.weekday_of_day(day)) + 2) % 7;
+    for (int h = 0; h < 24; ++h) {
+      const auto how = static_cast<std::uint16_t>(sat_based * 24 + h);
+      const std::size_t base = static_cast<std::size_t>(day) * kBinsPerDay +
+                               static_cast<std::size_t>(h) * kBinsPerHour;
+      for (std::size_t b = 0; b < kBinsPerHour; ++b) {
+        hour_of_week_[base + b] = how;
+      }
+    }
+  }
+}
+
+// Every record of every column is written by the producer's set() calls
+// (one per (device, bin) position).
 DatasetIndex::DenseBuilder::DenseBuilder(std::size_t n_devices,
                                          const CampaignCalendar& cal)
-    : idx_(new DatasetIndex()) {
+    : idx_(new DatasetIndex()),
+      cols_(*idx_, n_devices * static_cast<std::size_t>(cal.num_bins())) {
   const auto n_bins = static_cast<std::size_t>(cal.num_bins());
   const int num_days = cal.num_days();
-  const std::size_t n = n_devices * n_bins;
-
   idx_->num_days_ = num_days;
   idx_->dense_ = n_devices > 0;
-
-  // Every record of every column is written by the producer's set()
-  // calls (one per (device, bin) position), so skip the zero-fill.
-  idx_->bin_.resize_for_overwrite(n);
-  idx_->cell_rx_.resize_for_overwrite(n);
-  idx_->cell_tx_.resize_for_overwrite(n);
-  idx_->wifi_rx_.resize_for_overwrite(n);
-  idx_->wifi_tx_.resize_for_overwrite(n);
-  idx_->ap_.resize_for_overwrite(n);
-  idx_->wifi_state_.resize_for_overwrite(n);
-  idx_->tech_.resize_for_overwrite(n);
-  idx_->battery_.resize_for_overwrite(n);
-  idx_->rssi_.resize_for_overwrite(n);
-  idx_->geo_.resize_for_overwrite(n);
-  idx_->app_count_.resize_for_overwrite(n);
-  idx_->flags_.resize_for_overwrite(n);
-  idx_->scan24_all_.resize_for_overwrite(n);
-  idx_->scan24_strong_.resize_for_overwrite(n);
-  idx_->scan5_all_.resize_for_overwrite(n);
-  idx_->scan5_strong_.resize_for_overwrite(n);
-
-  bin_ = idx_->bin_.data();
-  cell_rx_ = idx_->cell_rx_.data();
-  cell_tx_ = idx_->cell_tx_.data();
-  wifi_rx_ = idx_->wifi_rx_.data();
-  wifi_tx_ = idx_->wifi_tx_.data();
-  ap_ = idx_->ap_.data();
-  wifi_state_ = idx_->wifi_state_.data();
-  tech_ = idx_->tech_.data();
-  battery_ = idx_->battery_.data();
-  rssi_ = idx_->rssi_.data();
-  geo_ = idx_->geo_.data();
-  app_count_ = idx_->app_count_.data();
-  flags_ = idx_->flags_.data();
-  scan24_all_ = idx_->scan24_all_.data();
-  scan24_strong_ = idx_->scan24_strong_.data();
-  scan5_all_ = idx_->scan5_all_.data();
-  scan5_strong_ = idx_->scan5_strong_.data();
 
   // In a dense campaign every contiguous range is arithmetic: device d
   // owns [d * n_bins, (d + 1) * n_bins) and its day boundaries fall at
@@ -73,20 +82,7 @@ DatasetIndex::DenseBuilder::DenseBuilder(std::size_t n_devices,
   }
   idx_->app_range_.assign(n_devices * 2, 0);
 
-  // Hour-of-week LUT, Saturday-based to match WeeklyProfile's axes.
-  idx_->hour_of_week_.resize(n_bins);
-  for (int day = 0; day < num_days; ++day) {
-    const int sat_based =
-        (static_cast<int>(cal.weekday_of_day(day)) + 2) % 7;
-    for (int h = 0; h < 24; ++h) {
-      const auto how = static_cast<std::uint16_t>(sat_based * 24 + h);
-      const std::size_t base = static_cast<std::size_t>(day) * kBinsPerDay +
-                               static_cast<std::size_t>(h) * kBinsPerHour;
-      for (std::size_t b = 0; b < kBinsPerHour; ++b) {
-        idx_->hour_of_week_[base + b] = how;
-      }
-    }
-  }
+  idx_->fill_hour_of_week(cal);
 }
 
 void DatasetIndex::DenseBuilder::set_app_range(std::size_t d,
@@ -98,7 +94,6 @@ void DatasetIndex::DenseBuilder::set_app_range(std::size_t d,
 
 std::shared_ptr<const DatasetIndex> DatasetIndex::DenseBuilder::finish()
     noexcept {
-  bin_ = nullptr;
   return std::move(idx_);
 }
 
@@ -112,42 +107,8 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
   std::shared_ptr<DatasetIndex> idx(new DatasetIndex());
   idx->num_days_ = num_days;
   // Every record of every column is written by the projection pass
-  // below (or the whole index is discarded), so skip the zero-fill.
-  idx->bin_.resize_for_overwrite(n);
-  idx->cell_rx_.resize_for_overwrite(n);
-  idx->cell_tx_.resize_for_overwrite(n);
-  idx->wifi_rx_.resize_for_overwrite(n);
-  idx->wifi_tx_.resize_for_overwrite(n);
-  idx->ap_.resize_for_overwrite(n);
-  idx->wifi_state_.resize_for_overwrite(n);
-  idx->tech_.resize_for_overwrite(n);
-  idx->battery_.resize_for_overwrite(n);
-  idx->rssi_.resize_for_overwrite(n);
-  idx->geo_.resize_for_overwrite(n);
-  idx->app_count_.resize_for_overwrite(n);
-  idx->flags_.resize_for_overwrite(n);
-  idx->scan24_all_.resize_for_overwrite(n);
-  idx->scan24_strong_.resize_for_overwrite(n);
-  idx->scan5_all_.resize_for_overwrite(n);
-  idx->scan5_strong_.resize_for_overwrite(n);
-
-  TimeBin* const bin = idx->bin_.data();
-  std::uint32_t* const cell_rx = idx->cell_rx_.data();
-  std::uint32_t* const cell_tx = idx->cell_tx_.data();
-  std::uint32_t* const wifi_rx = idx->wifi_rx_.data();
-  std::uint32_t* const wifi_tx = idx->wifi_tx_.data();
-  std::uint32_t* const ap = idx->ap_.data();
-  WifiState* const wifi_state = idx->wifi_state_.data();
-  CellTech* const tech = idx->tech_.data();
-  std::uint8_t* const battery = idx->battery_.data();
-  std::int8_t* const rssi = idx->rssi_.data();
-  std::uint16_t* const geo = idx->geo_.data();
-  std::uint8_t* const app_count = idx->app_count_.data();
-  std::uint8_t* const flags = idx->flags_.data();
-  std::uint8_t* const scan24_all = idx->scan24_all_.data();
-  std::uint8_t* const scan24_strong = idx->scan24_strong_.data();
-  std::uint8_t* const scan5_all = idx->scan5_all_.data();
-  std::uint8_t* const scan5_strong = idx->scan5_strong_.data();
+  // below (or the whole index is discarded).
+  const ColumnWriter cols(*idx, n);
 
   // One parallel chunked pass projects the SoA columns and verifies the
   // Dataset contract at the same time: every sample must reference a
@@ -156,15 +117,16 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
   // order. Each chunk also checks the ordering edge to its predecessor
   // chunk, so coverage is seamless. Any violation makes build() return
   // nullptr instead of silently indexing a wrong stream. The per-sample
-  // rules match Dataset::validate() exactly, so loaders may pair
-  // validate_frame() with this build instead of a separate full
-  // validate() sweep.
+  // rules match Dataset::validate() exactly, so
+  // Dataset::validate_and_index() needs no separate validate() sweep.
   const std::size_t n_aps = ds.aps.size();
   const std::size_t n_apps = ds.app_traffic.size();
   constexpr std::size_t kChunk = 1 << 16;
   const std::size_t n_chunks = (n + kChunk - 1) / kChunk;
   const std::vector<char> chunk_ok =
       parallel_map(n_chunks, [&](std::size_t c) -> char {
+        // A local copy keeps the cursors in registers across the stores.
+        const ColumnWriter w = cols;
         const std::size_t begin = c * kChunk;
         const std::size_t end = std::min(begin + kChunk, n);
         for (std::size_t i = begin; i < end; ++i) {
@@ -180,24 +142,7 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
               return 0;
             }
           }
-          bin[i] = s.bin;
-          cell_rx[i] = s.cell_rx;
-          cell_tx[i] = s.cell_tx;
-          wifi_rx[i] = s.wifi_rx;
-          wifi_tx[i] = s.wifi_tx;
-          ap[i] = value(s.ap);
-          wifi_state[i] = s.wifi_state;
-          tech[i] = s.tech;
-          battery[i] = s.battery_pct;
-          rssi[i] = s.rssi_dbm;
-          geo[i] = s.geo_cell;
-          app_count[i] = s.app_count;
-          flags[i] =
-              static_cast<std::uint8_t>(s.tethering ? kFlagTethering : 0);
-          scan24_all[i] = s.scan_pub24_all;
-          scan24_strong[i] = s.scan_pub24_strong;
-          scan5_all[i] = s.scan_pub5_all;
-          scan5_strong[i] = s.scan_pub5_strong;
+          w.set(i, s);
         }
         return 1;
       });
@@ -229,7 +174,7 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
     // Density check: one sample per bin, in order.
     bool dense = end - begin == n_bins;
     for (std::size_t j = begin; dense && j < end; ++j) {
-      dense = std::size_t{bin[j]} == j - begin;
+      dense = std::size_t{cols.bin[j]} == j - begin;
     }
     device_dense[d] = dense ? 1 : 0;
     std::size_t* const days = idx->day_offset_.data() + d * day_stride;
@@ -237,7 +182,7 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
     for (int day = 0; day < num_days; ++day) {
       days[day] = i;
       const auto limit = static_cast<TimeBin>((day + 1) * kBinsPerDay);
-      while (i < end && bin[i] < limit) ++i;
+      while (i < end && cols.bin[i] < limit) ++i;
     }
     days[num_days] = end;
 
@@ -247,7 +192,8 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
     std::size_t ab = 0, ae = 0;
     bool any = false;
     for (std::size_t j = begin; j < end; ++j) {
-      if (app_count[j] == 0) continue;  // dense column, not the 48-byte AoS
+      // The dense column, not the 48-byte AoS.
+      if (cols.app_count[j] == 0) continue;
       const Sample& s = ss[j];
       const auto lo = std::size_t{s.app_begin};
       const std::size_t hi = lo + s.app_count;
@@ -266,20 +212,7 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
                 std::find(device_dense.begin(), device_dense.end(), char{0}) ==
                     device_dense.end();
 
-  // Hour-of-week LUT, Saturday-based to match WeeklyProfile's axes.
-  idx->hour_of_week_.resize(n_bins);
-  for (int day = 0; day < num_days; ++day) {
-    const int sat_based =
-        (static_cast<int>(ds.calendar.weekday_of_day(day)) + 2) % 7;
-    for (int h = 0; h < 24; ++h) {
-      const auto how = static_cast<std::uint16_t>(sat_based * 24 + h);
-      const std::size_t base = static_cast<std::size_t>(day) * kBinsPerDay +
-                               static_cast<std::size_t>(h) * kBinsPerHour;
-      for (std::size_t b = 0; b < kBinsPerHour; ++b) {
-        idx->hour_of_week_[base + b] = how;
-      }
-    }
-  }
+  idx->fill_hour_of_week(ds.calendar);
 
   return idx;
 }

@@ -46,11 +46,56 @@ class DatasetIndex {
   /// referencing a device outside `ds.devices`, an AP outside `ds.aps`,
   /// an app-traffic range outside `ds.app_traffic`, or a bin outside
   /// the campaign calendar. These are exactly Dataset::validate()'s
-  /// per-sample rules, so a loader that runs build() right after
-  /// Dataset::validate_frame() gets full validation in one sweep.
+  /// per-sample rules, so Dataset::validate_and_index() gets full
+  /// validation from this one sweep.
   [[nodiscard]] static std::shared_ptr<const DatasetIndex> build(
       const Dataset& ds);
 
+ private:
+  /// Raw cursors into the projected SoA columns, so projecting a sample
+  /// compiles to a handful of stores. The one list of projected fields:
+  /// DenseBuilder::set() and build() both write through set().
+  struct ColumnWriter {
+    /// Sizes every column of `idx` to `n` records, skipping the
+    /// zero-fill (the producer writes every record), and points the
+    /// cursors at them.
+    ColumnWriter(DatasetIndex& idx, std::size_t n);
+
+    /// Projects `s` into position `i`. Sample::app_begin is not
+    /// projected, so producers may rebase it after emission (the
+    /// simulator's splice does).
+    void set(std::size_t i, const Sample& s) const noexcept {
+      bin[i] = s.bin;
+      cell_rx[i] = s.cell_rx;
+      cell_tx[i] = s.cell_tx;
+      wifi_rx[i] = s.wifi_rx;
+      wifi_tx[i] = s.wifi_tx;
+      ap[i] = value(s.ap);
+      wifi_state[i] = s.wifi_state;
+      tech[i] = s.tech;
+      battery[i] = s.battery_pct;
+      rssi[i] = s.rssi_dbm;
+      geo[i] = s.geo_cell;
+      app_count[i] = s.app_count;
+      flags[i] = static_cast<std::uint8_t>(s.tethering ? kFlagTethering : 0);
+      scan24_all[i] = s.scan_pub24_all;
+      scan24_strong[i] = s.scan_pub24_strong;
+      scan5_all[i] = s.scan_pub5_all;
+      scan5_strong[i] = s.scan_pub5_strong;
+    }
+
+    TimeBin* bin;
+    std::uint32_t *cell_rx, *cell_tx, *wifi_rx, *wifi_tx, *ap;
+    WifiState* wifi_state;
+    CellTech* tech;
+    std::uint8_t* battery;
+    std::int8_t* rssi;
+    std::uint16_t* geo;
+    std::uint8_t *app_count, *flags;
+    std::uint8_t *scan24_all, *scan24_strong, *scan5_all, *scan5_strong;
+  };
+
+ public:
   /// Zero-validation builder for producers whose sample stream is dense
   /// by construction — exactly one sample per (device, bin), emitted in
   /// (device, bin) order (the simulator's contract). The producer
@@ -67,27 +112,9 @@ class DatasetIndex {
     DenseBuilder(std::size_t n_devices, const CampaignCalendar& cal);
 
     /// Projects `s`, the sample at global position `i`
-    /// (device * num_bins + bin). Sample::app_begin is not projected, so
-    /// producers may rebase it after emission (the simulator's splice
-    /// does).
-    void set(std::size_t i, const Sample& s) noexcept {
-      bin_[i] = s.bin;
-      cell_rx_[i] = s.cell_rx;
-      cell_tx_[i] = s.cell_tx;
-      wifi_rx_[i] = s.wifi_rx;
-      wifi_tx_[i] = s.wifi_tx;
-      ap_[i] = value(s.ap);
-      wifi_state_[i] = s.wifi_state;
-      tech_[i] = s.tech;
-      battery_[i] = s.battery_pct;
-      rssi_[i] = s.rssi_dbm;
-      geo_[i] = s.geo_cell;
-      app_count_[i] = s.app_count;
-      flags_[i] = static_cast<std::uint8_t>(s.tethering ? kFlagTethering : 0);
-      scan24_all_[i] = s.scan_pub24_all;
-      scan24_strong_[i] = s.scan_pub24_strong;
-      scan5_all_[i] = s.scan_pub5_all;
-      scan5_strong_[i] = s.scan_pub5_strong;
+    /// (device * num_bins + bin); see ColumnWriter::set().
+    void set(std::size_t i, const Sample& s) const noexcept {
+      cols_.set(i, s);
     }
 
     /// Records device `d`'s contiguous slice of Dataset::app_traffic
@@ -100,24 +127,7 @@ class DatasetIndex {
 
    private:
     std::shared_ptr<DatasetIndex> idx_;
-    // Raw column cursors so set() compiles to a handful of stores.
-    TimeBin* bin_ = nullptr;
-    std::uint32_t* cell_rx_ = nullptr;
-    std::uint32_t* cell_tx_ = nullptr;
-    std::uint32_t* wifi_rx_ = nullptr;
-    std::uint32_t* wifi_tx_ = nullptr;
-    std::uint32_t* ap_ = nullptr;
-    WifiState* wifi_state_ = nullptr;
-    CellTech* tech_ = nullptr;
-    std::uint8_t* battery_ = nullptr;
-    std::int8_t* rssi_ = nullptr;
-    std::uint16_t* geo_ = nullptr;
-    std::uint8_t* app_count_ = nullptr;
-    std::uint8_t* flags_ = nullptr;
-    std::uint8_t* scan24_all_ = nullptr;
-    std::uint8_t* scan24_strong_ = nullptr;
-    std::uint8_t* scan5_all_ = nullptr;
-    std::uint8_t* scan5_strong_ = nullptr;
+    ColumnWriter cols_;
   };
 
   [[nodiscard]] std::size_t num_samples() const noexcept {
@@ -237,6 +247,9 @@ class DatasetIndex {
 
  private:
   DatasetIndex() = default;
+
+  /// Fills the per-bin hour-of-week LUT for `cal`.
+  void fill_hour_of_week(const CampaignCalendar& cal);
 
   int num_days_ = 0;
   bool dense_ = false;

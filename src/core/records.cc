@@ -76,6 +76,14 @@ std::string Dataset::validate_frame() const {
   return {};
 }
 
+std::string Dataset::validate_and_index() {
+  index_ = nullptr;
+  if (std::string err = validate_frame(); !err.empty()) return err;
+  if (build_index()) return {};
+  std::string err = validate();
+  return err.empty() ? "samples not (device, bin)-ordered" : err;
+}
+
 std::string Dataset::validate() const {
   if (std::string err = validate_frame(); !err.empty()) return err;
   const std::size_t n_devices = devices.size();

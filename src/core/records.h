@@ -236,17 +236,18 @@ class Dataset {
   /// references, (device, bin) ordering, bin bounds against the
   /// calendar, and ground-truth array shapes. Returns an empty string
   /// when the dataset is sound, else a description of the first
-  /// problem. Snapshot loads call this before trusting a file; the
-  /// sample scan runs on the core/parallel pool.
+  /// problem. The sample scan runs on the core/parallel pool.
   [[nodiscard]] std::string validate() const;
 
-  /// The non-sample half of validate(): device-id/survey/ground-truth
-  /// shape checks only, O(devices + aps). Loaders that immediately run
-  /// build_index() — whose projection pass verifies every per-sample
-  /// rule validate() would — pair this with the index build instead of
-  /// paying a second full sweep of the sample array (io/shard_store
-  /// does).
-  [[nodiscard]] std::string validate_frame() const;
+  /// The one validate-and-index step of every loader (snapshot, shard,
+  /// CSV, ingest): the non-sample shape checks, then build_index() —
+  /// whose projection pass enforces every per-sample rule validate()
+  /// does, so the sample array is swept once — and, only when the build
+  /// rejects the stream, validate() to name the first violation.
+  /// Returns an empty string once the dataset is sound and indexed,
+  /// else a description of the first problem (the dataset is left
+  /// unindexed).
+  [[nodiscard]] std::string validate_and_index();
 
   /// True once build_index() has succeeded and matches the current
   /// sample count.
@@ -267,6 +268,10 @@ class Dataset {
   }
 
  private:
+  /// The non-sample half of validate(): device-id/survey/ground-truth
+  /// shape checks only, O(devices + aps).
+  [[nodiscard]] std::string validate_frame() const;
+
   std::shared_ptr<const core::DatasetIndex> index_;
 };
 

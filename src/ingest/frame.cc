@@ -14,6 +14,14 @@ constexpr std::uint64_t kFrameHashSeed = 0x746B796F696E6731ull;
   return core::hash_bytes(data, n, kFrameHashSeed);
 }
 
+/// The stored byte of a bool decoded from the wire (loading a bool that
+/// holds anything but 0 or 1 is undefined).
+[[nodiscard]] std::uint8_t raw_byte(const bool& b) noexcept {
+  std::uint8_t v = 0;
+  std::memcpy(&v, &b, 1);
+  return v;
+}
+
 void append_bytes(std::vector<std::uint8_t>& out, const void* data,
                   std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -174,6 +182,20 @@ FrameParser::Status FrameParser::next(Frame& out) {
           std::uint64_t{s.app_begin} + s.app_count > h.n_app) {
         return fail("sample " + std::to_string(i) +
                     " references app records beyond the frame");
+      }
+      // Analysis indexes arrays by these enums: an out-of-range byte
+      // would be an out-of-bounds access downstream, not a bad value.
+      if (s.wifi_state > WifiState::Associated || s.tech > CellTech::Lte ||
+          raw_byte(s.tethering) > 1) {
+        return fail("sample " + std::to_string(i) +
+                    " carries an out-of-range wifi_state, tech or "
+                    "tethering byte");
+      }
+    }
+    for (std::size_t i = 0; i < app_.size(); ++i) {
+      if (static_cast<int>(app_[i].category) >= kNumAppCategories) {
+        return fail("app record " + std::to_string(i) +
+                    " carries an out-of-range category");
       }
     }
     out.samples = {samples_.data(), samples_.size()};

@@ -199,9 +199,9 @@ analysis::StreamResult IngestServer::result(std::string* error) const {
                           committed.app_traffic.begin(),
                           committed.app_traffic.end());
   }
-  if (!ds.build_index()) {
+  if (const std::string invalid = ds.validate_and_index(); !invalid.empty()) {
     if (error != nullptr) {
-      *error = "committed records are not a campaign: " + ds.validate();
+      *error = "committed records are not a campaign: " + invalid;
     }
     return {};
   }

@@ -63,6 +63,17 @@ template <typename T>
   return ec == std::errc{} && ptr == end;
 }
 
+/// Parses an enum column: the value must name one of the enumerators
+/// [0, count). Analysis indexes arrays by these enums, so an
+/// out-of-range value is a malformed row, not a bad value.
+template <typename E>
+[[nodiscard]] bool parse_enum(const std::string& s, E& out, int count) {
+  int v = 0;
+  if (!parse_int(s, v) || v < 0 || v >= count) return false;
+  out = static_cast<E>(v);
+  return true;
+}
+
 [[nodiscard]] std::string sanitize_essid(std::string_view essid) {
   std::string out;
   out.reserve(essid.size());
@@ -194,17 +205,16 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
     while (read_line(f.get(), line)) {
       split(line, cols);
       std::uint32_t id = 0;
-      int os = 0, carrier = 0, recruited = 0;
+      int recruited = 0;
+      DeviceInfo dev;
       if (cols.size() != 4 || !parse_int(cols[0], id) ||
-          !parse_int(cols[1], os) || !parse_int(cols[2], carrier) ||
+          !parse_enum(cols[1], dev.os, static_cast<int>(Os::Ios) + 1) ||
+          !parse_enum(cols[2], dev.carrier, kNumCarriers) ||
           !parse_int(cols[3], recruited) || id != out.devices.size()) {
         result.error = "devices.csv: malformed row: " + line;
         return result;
       }
-      DeviceInfo dev;
       dev.id = DeviceId{id};
-      dev.os = static_cast<Os>(os);
-      dev.carrier = static_cast<Carrier>(carrier);
       dev.recruited = recruited != 0;
       out.devices.push_back(dev);
     }
@@ -216,18 +226,16 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
     while (read_line(f.get(), line)) {
       split(line, cols);
       std::size_t id = 0;
-      std::uint64_t bssid = 0;
-      int band = 0, channel = 0;
+      int channel = 0;
+      ApInfo ap;
       if (cols.size() != 5 || !parse_int(cols[0], id) ||
-          !parse_int(cols[1], bssid, 16) || !parse_int(cols[3], band) ||
+          !parse_int(cols[1], ap.bssid, 16) ||
+          !parse_enum(cols[3], ap.band, static_cast<int>(Band::B5GHz) + 1) ||
           !parse_int(cols[4], channel) || id != out.aps.size()) {
         result.error = "aps.csv: malformed row: " + line;
         return result;
       }
-      ApInfo ap;
-      ap.bssid = bssid;
       ap.essid = cols[2];
-      ap.band = static_cast<Band>(band);
       ap.channel = static_cast<std::uint8_t>(channel);
       out.aps.push_back(std::move(ap));
     }
@@ -238,15 +246,14 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
     (void)read_line(f.get(), line);
     while (read_line(f.get(), line)) {
       split(line, cols);
-      int category = 0;
       AppTraffic at;
-      if (cols.size() != 3 || !parse_int(cols[0], category) ||
-          !parse_int(cols[1], at.rx_bytes) || !parse_int(cols[2], at.tx_bytes) ||
-          category < 0 || category >= kNumAppCategories) {
+      if (cols.size() != 3 ||
+          !parse_enum(cols[0], at.category, kNumAppCategories) ||
+          !parse_int(cols[1], at.rx_bytes) ||
+          !parse_int(cols[2], at.tx_bytes)) {
         result.error = "apps.csv: malformed row: " + line;
         return result;
       }
-      at.category = static_cast<AppCategory>(category);
       out.app_traffic.push_back(at);
     }
   }
@@ -258,14 +265,17 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       split(line, cols);
       Sample s;
       std::uint32_t device = 0;
-      int ap = 0, tech = 0, state = 0, rssi = 0, battery = 0, tether = 0;
+      int ap = 0, rssi = 0, battery = 0, tether = 0;
       unsigned u8tmp[5];
       if (cols.size() != 19 || !parse_int(cols[0], device) ||
           !parse_int(cols[1], s.bin) || !parse_int(cols[2], s.geo_cell) ||
           !parse_int(cols[3], s.cell_rx) || !parse_int(cols[4], s.cell_tx) ||
           !parse_int(cols[5], s.wifi_rx) || !parse_int(cols[6], s.wifi_tx) ||
-          !parse_int(cols[7], ap) || !parse_int(cols[8], tech) ||
-          !parse_int(cols[9], state) || !parse_int(cols[10], rssi) ||
+          !parse_int(cols[7], ap) ||
+          !parse_enum(cols[8], s.tech, static_cast<int>(CellTech::Lte) + 1) ||
+          !parse_enum(cols[9], s.wifi_state,
+                      static_cast<int>(WifiState::Associated) + 1) ||
+          !parse_int(cols[10], rssi) ||
           !parse_int(cols[11], battery) || !parse_int(cols[12], tether) ||
           !parse_int(cols[13], u8tmp[0]) || !parse_int(cols[14], u8tmp[1]) ||
           !parse_int(cols[15], u8tmp[2]) || !parse_int(cols[16], u8tmp[3]) ||
@@ -276,15 +286,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       s.battery_pct = static_cast<std::uint8_t>(battery);
       s.tethering = tether != 0;
       s.device = DeviceId{device};
-      if (value(s.device) >= out.devices.size() ||
-          (ap >= 0 && static_cast<std::size_t>(ap) >= out.aps.size()) ||
-          s.app_begin + u8tmp[4] > out.app_traffic.size()) {
-        result.error = "samples.csv: dangling reference: " + line;
-        return result;
-      }
       s.ap = ap < 0 ? kNoAp : ApId{static_cast<std::uint32_t>(ap)};
-      s.tech = static_cast<CellTech>(tech);
-      s.wifi_state = static_cast<WifiState>(state);
       s.rssi_dbm = static_cast<std::int8_t>(rssi);
       s.scan_pub24_all = static_cast<std::uint8_t>(u8tmp[0]);
       s.scan_pub24_strong = static_cast<std::uint8_t>(u8tmp[1]);
@@ -310,21 +312,19 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
     while (read_line(f.get(), line)) {
       split(line, cols);
       std::size_t id = 0;
-      int occupation = 0, c0 = 0, c1 = 0, c2 = 0;
+      constexpr int kYesNo = static_cast<int>(SurveyYesNo::NotAnswered) + 1;
       SurveyResponse r;
       if (cols.size() != 8 || !parse_int(cols[0], id) ||
-          !parse_int(cols[1], occupation) || !parse_int(cols[2], c0) ||
-          !parse_int(cols[3], c1) || !parse_int(cols[4], c2) ||
+          !parse_enum(cols[1], r.occupation, kNumOccupations) ||
+          !parse_enum(cols[2], r.connected[0], kYesNo) ||
+          !parse_enum(cols[3], r.connected[1], kYesNo) ||
+          !parse_enum(cols[4], r.connected[2], kYesNo) ||
           !parse_int(cols[5], r.reasons[0]) ||
           !parse_int(cols[6], r.reasons[1]) ||
           !parse_int(cols[7], r.reasons[2]) || id >= out.devices.size()) {
         result.error = "survey.csv: malformed row: " + line;
         return result;
       }
-      r.occupation = static_cast<Occupation>(occupation);
-      r.connected[0] = static_cast<SurveyYesNo>(c0);
-      r.connected[1] = static_cast<SurveyYesNo>(c1);
-      r.connected[2] = static_cast<SurveyYesNo>(c2);
       out.survey[id] = r;
     }
   }
@@ -333,8 +333,9 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
   // the analysis layer (which never reads them) stays safe to call.
   out.truth.devices.resize(out.devices.size());
   out.truth.aps.resize(out.aps.size());
-  if (!out.build_index()) {
-    result.error = "samples.csv: rows not (device, bin)-ordered";
+  // Dangling device/AP/app references surface here.
+  if (const std::string invalid = out.validate_and_index(); !invalid.empty()) {
+    result.error = dir.string() + ": invalid dataset: " + invalid;
     return result;
   }
   return result;

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <span>
 #include <string_view>
 #include <system_error>
 #include <thread>
@@ -124,15 +123,6 @@ void append_line(std::string& out, const char* fmt, auto... args) {
 bool is_shard_dir(const fs::path& dir) {
   std::error_code ec;
   return fs::is_regular_file(dir / kShardManifestName, ec);
-}
-
-std::size_t resident_shards_from_env(std::size_t fallback) noexcept {
-  const char* env = std::getenv("TOKYONET_RESIDENT_SHARDS");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
-  return static_cast<std::size_t>(v);
 }
 
 SnapshotResult write_shard_manifest(const ShardManifest& m,
@@ -369,8 +359,7 @@ SnapshotResult verify_shard_store(const fs::path& dir,
   return result;
 }
 
-SnapshotResult ShardedDataset::open(const fs::path& dir, ShardedDataset& out,
-                                    const SnapshotLoadOptions& opts) {
+SnapshotResult ShardedDataset::open(const fs::path& dir, ShardedDataset& out) {
   out = ShardedDataset{};
   SnapshotResult result = read_shard_manifest(dir, out.manifest_);
   if (!result.ok()) return result;
@@ -380,9 +369,7 @@ SnapshotResult ShardedDataset::open(const fs::path& dir, ShardedDataset& out,
   // The universe stays resident: every shard shares it, and it is tiny
   // next to one shard's samples.
   Dataset u;
-  SnapshotLoadOptions uopts = opts;
-  uopts.defer_validate = false;
-  result = load_snapshot(dir / out.manifest_.universe_file, u, uopts);
+  result = load_snapshot(dir / out.manifest_.universe_file, u);
   if (!result.ok()) return result;
   out.aps_ = std::move(u.aps);
   out.truth_aps_ = std::move(u.truth.aps);
@@ -404,8 +391,7 @@ SnapshotResult ShardedDataset::open(const fs::path& dir, ShardedDataset& out,
   return result;
 }
 
-SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
-                                          const SnapshotLoadOptions& opts) {
+SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out) {
   SnapshotResult result;
   if (i >= manifest_.shards.size()) {
     result.error = dir_err(dir_, "shard index " + std::to_string(i) +
@@ -417,11 +403,11 @@ SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
 
   // The shard file carries no AP universe, so its samples reference APs
   // it does not hold: load deferred, install the shared universe, then
-  // validate + index ourselves. Payload checksums are rehashed only on
-  // the shard's first load this open (or always, under
+  // validate and index. Payload checksums are rehashed only on the
+  // shard's first load this open (or always, under
   // TOKYONET_SHARD_VERIFY=always); header and manifest identity checks
   // run on every load.
-  SnapshotLoadOptions sopts = opts;
+  SnapshotLoadOptions sopts;
   sopts.defer_validate = true;
   const bool verified =
       payload_verified_ != nullptr &&
@@ -439,135 +425,13 @@ SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
   out.aps = aps_;
   out.truth.aps = truth_aps_;
 
-  // validate_frame() covers the non-sample shapes; build_index()'s
-  // projection pass enforces every per-sample rule validate() would
-  // (ordering, device/AP/app-range/bin bounds) in the same sweep that
-  // builds the SoA columns, so the sample array is walked once, not
-  // twice.
-  const std::string invalid = out.validate_frame();
-  if (!invalid.empty()) {
+  if (const std::string invalid = out.validate_and_index(); !invalid.empty()) {
     out = Dataset{};
     result.error = path.string() + ": invalid shard dataset: " + invalid;
     return result;
   }
-  if (!out.build_index()) {
-    out = Dataset{};
-    result.error = path.string() +
-                   ": invalid shard dataset: sample stream unordered or "
-                   "referencing out-of-range device/AP/app records";
-    return result;
-  }
   if (payload_verified_ != nullptr && sopts.verify_payload) {
     payload_verified_.get()[i].store(true, std::memory_order_release);
-  }
-  return result;
-}
-
-SnapshotResult ShardedDataset::materialize(Dataset& out,
-                                           const SnapshotLoadOptions& opts,
-                                           std::size_t resident_shards) {
-  SnapshotResult result;
-  out = Dataset{};
-  out.year = year_;
-  out.calendar = calendar_;
-  out.devices.reserve(static_cast<std::size_t>(manifest_.n_devices));
-  out.survey.reserve(static_cast<std::size_t>(manifest_.n_devices));
-  out.truth.devices.reserve(static_cast<std::size_t>(manifest_.n_devices));
-  out.samples.resize_for_overwrite(
-      static_cast<std::size_t>(manifest_.n_samples));
-  out.app_traffic.reserve(static_cast<std::size_t>(manifest_.n_app_traffic));
-
-  // Concatenation reads raw shard snapshots (no per-shard universe
-  // install or index build; the result is validated and indexed once,
-  // below). With resident_shards >= 1 the next shard's load — read plus
-  // checksum — overlaps the current shard's rebase on one background
-  // loader, holding at most two shard payloads at a time.
-  SnapshotLoadOptions sopts = opts;
-  sopts.defer_validate = true;
-  struct RawLoad {
-    Dataset shard;
-    SnapshotResult result;
-  };
-  const auto load_raw = [&](std::size_t i) {
-    RawLoad r;
-    SnapshotInfo info;
-    r.result =
-        load_snapshot(dir_ / manifest_.shards[i].file, r.shard, sopts, &info);
-    return r;
-  };
-  const bool pipelined = resident_shards >= 1 && manifest_.shards.size() > 1;
-
-  std::size_t device_base = 0, sample_base = 0;
-  const auto concat_shard = [&](Dataset& shard) {
-    const auto app_base = static_cast<std::uint32_t>(out.app_traffic.size());
-    for (const DeviceInfo& d : shard.devices) {
-      DeviceInfo g = d;
-      g.id = DeviceId{static_cast<std::uint32_t>(device_base + value(d.id))};
-      out.devices.push_back(g);
-    }
-    out.survey.insert(out.survey.end(), shard.survey.begin(),
-                      shard.survey.end());
-    for (DeviceTruth& t : shard.truth.devices) {
-      out.truth.devices.push_back(std::move(t));
-    }
-    out.app_traffic.insert(out.app_traffic.end(), shard.app_traffic.begin(),
-                           shard.app_traffic.end());
-
-    // Rebase the sample stream: device ids always, app_begin only for
-    // Android devices — iOS samples keep app_begin = 0, exactly as the
-    // simulator's splice leaves them.
-    const std::span<const Sample> src = shard.samples.span();
-    Sample* dst = out.samples.data() + sample_base;
-    for (std::size_t k = 0; k < src.size(); ++k) {
-      Sample s = src[k];
-      const std::size_t local = value(s.device);
-      s.device = DeviceId{static_cast<std::uint32_t>(device_base + local)};
-      if (local < shard.devices.size() &&
-          shard.devices[local].os == Os::Android) {
-        s.app_begin += app_base;
-      }
-      dst[k] = s;
-    }
-
-    device_base += shard.devices.size();
-    sample_base += src.size();
-  };
-
-  RawLoad pending;
-  if (pipelined) pending = load_raw(0);
-  for (std::size_t i = 0; i < manifest_.shards.size(); ++i) {
-    RawLoad cur = pipelined ? std::move(pending) : load_raw(i);
-    std::thread loader;
-    if (pipelined && i + 1 < manifest_.shards.size()) {
-      pending = RawLoad{};
-      loader = std::thread([&pending, &load_raw, i] {
-        pending = load_raw(i + 1);
-      });
-    }
-    if (cur.result.ok()) concat_shard(cur.shard);
-    // Join before inspecting the error so `pending` is never abandoned
-    // mid-write.
-    if (loader.joinable()) loader.join();
-    if (!cur.result.ok()) {
-      out = Dataset{};
-      return cur.result;
-    }
-  }
-
-  out.aps = aps_;
-  out.truth.aps = truth_aps_;
-
-  const std::string invalid = out.validate();
-  if (!invalid.empty()) {
-    out = Dataset{};
-    result.error = dir_err(dir_, "invalid materialized dataset: " + invalid);
-    return result;
-  }
-  if (!out.build_index()) {
-    out = Dataset{};
-    result.error =
-        dir_err(dir_, "invalid materialized dataset: samples not ordered");
-    return result;
   }
   return result;
 }
@@ -604,12 +468,11 @@ struct ShardPrefetcher::Impl {
 };
 
 ShardPrefetcher::ShardPrefetcher(ShardedDataset& store,
-                                 std::size_t max_resident,
-                                 const SnapshotLoadOptions& opts)
+                                 std::size_t max_resident)
     : impl_(std::make_unique<Impl>()) {
   impl_->sh = std::make_shared<Impl::Shared>();
   impl_->sh->free_tokens = max_resident < 1 ? 1 : max_resident;
-  impl_->loader = std::thread([sh = impl_->sh, &store, opts] {
+  impl_->loader = std::thread([sh = impl_->sh, &store] {
     const std::size_t n = store.num_shards();
     for (std::size_t i = 0; i < n; ++i) {
       {
@@ -622,7 +485,7 @@ ShardPrefetcher::ShardPrefetcher(ShardedDataset& store,
       Loaded item;
       item.index = i;
       item.token = Impl::make_token(sh);
-      item.result = store.load_shard(i, item.dataset, opts);
+      item.result = store.load_shard(i, item.dataset);
       const bool failed = !item.result.ok();
       {
         std::lock_guard<std::mutex> lk(sh->mu);

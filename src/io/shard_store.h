@@ -26,18 +26,15 @@
 // writer killed mid-stream leaves a directory without MANIFEST.tks —
 // detected and rejected, never half-read.
 //
-// ShardedDataset is the reader: it verifies the manifest and every
-// shard's identity up front, keeps the universe resident (it is tiny
-// next to the samples), and then serves shards one at a time —
-// load_shard() materializes a single fully-validated, indexed Dataset
-// per call, which is the out-of-core analysis contract: per-device
-// kernels run shard by shard and their partials reduce in shard (=
-// device) order, byte-identical to the in-memory run (DESIGN.md §5i).
-// materialize() concatenates every shard back into one in-memory
-// Dataset equal to what the one-shot simulator produces: every field
-// value, and the packed sample column byte for byte (struct padding in
-// the small record arrays is the one thing not pinned — see
-// tests/shard_store_test.cc).
+// ShardedDataset is the reader, and the store's only one: it verifies
+// the manifest and every shard's identity up front, keeps the universe
+// resident (it is tiny next to the samples), and then serves shards one
+// at a time — load_shard() returns a single fully-validated, indexed
+// Dataset per call, which is the out-of-core analysis contract:
+// per-device kernels run shard by shard (analysis/query/source.h) and
+// their partials reduce in shard (= device) order, byte-identical to
+// the in-memory run (DESIGN.md §5i). A store is never loaded back into
+// one in-memory Dataset.
 #pragma once
 
 #include <atomic>
@@ -92,14 +89,6 @@ struct ShardManifest {
 /// True when `dir` looks like a shard directory (has MANIFEST.tks).
 [[nodiscard]] bool is_shard_dir(const std::filesystem::path& dir);
 
-/// Resident-shard budget from TOKYONET_RESIDENT_SHARDS (the K in
-/// DESIGN.md §5j): 0 = strict sequential scan, 1 = prefetch one shard
-/// ahead (the default), K >= 2 = scan K shards concurrently. Unset or
-/// unparsable values fall back to `fallback`; the CLI's
-/// --resident-shards flag overrides this.
-[[nodiscard]] std::size_t resident_shards_from_env(
-    std::size_t fallback = 1) noexcept;
-
 /// Writes `m` as <dir>/MANIFEST.tks atomically (tmp + rename). Call
 /// only after every referenced file is in place: the manifest's
 /// existence is the directory's commit record.
@@ -125,8 +114,7 @@ class ShardedDataset {
   /// Opens `dir`: manifest read + full verify_shard_store(), then loads
   /// the AP universe into memory. On success `out` serves shards.
   [[nodiscard]] static SnapshotResult open(const std::filesystem::path& dir,
-                                           ShardedDataset& out,
-                                           const SnapshotLoadOptions& opts = {});
+                                           ShardedDataset& out);
 
   [[nodiscard]] const ShardManifest& manifest() const noexcept {
     return manifest_;
@@ -161,20 +149,7 @@ class ShardedDataset {
   /// Setting TOKYONET_SHARD_VERIFY=always before open() restores the
   /// rehash on every load. Thread-safe for distinct or equal `i` — the
   /// once-per-open bookkeeping is atomic.
-  [[nodiscard]] SnapshotResult load_shard(std::size_t i, Dataset& out,
-                                          const SnapshotLoadOptions& opts = {});
-
-  /// Concatenates every shard into one in-memory Dataset with global
-  /// device ids and rebased app-traffic offsets — value-identical to
-  /// the in-memory simulation the store was streamed from (and
-  /// byte-identical in the packed sample column). With
-  /// `resident_shards` >= 1 (the default) the next shard's read +
-  /// checksum overlaps the current shard's rebase (at most two shard
-  /// payloads resident beyond the output); 0 loads strictly
-  /// sequentially.
-  [[nodiscard]] SnapshotResult materialize(Dataset& out,
-                                           const SnapshotLoadOptions& opts = {},
-                                           std::size_t resident_shards = 1);
+  [[nodiscard]] SnapshotResult load_shard(std::size_t i, Dataset& out);
 
  private:
   std::filesystem::path dir_;
@@ -222,8 +197,7 @@ class ShardPrefetcher {
 
   /// Starts loading immediately. `store` must be open and outlive this
   /// prefetcher. max_resident is clamped to >= 1.
-  ShardPrefetcher(ShardedDataset& store, std::size_t max_resident,
-                  const SnapshotLoadOptions& opts = {});
+  ShardPrefetcher(ShardedDataset& store, std::size_t max_resident);
   /// Cancels and joins the loader.
   ~ShardPrefetcher();
 

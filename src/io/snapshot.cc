@@ -703,25 +703,14 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
 
   if (opts.defer_validate) {
     // The caller completes the dataset (e.g. installs the shard-store's
-    // shared AP universe) and then runs validate()/build_index() itself.
+    // shared AP universe) and then runs validate_and_index() itself.
     if (info_out != nullptr) *info_out = info;
     return result;
   }
 
-  const std::string invalid = out.validate();
-  if (!invalid.empty()) {
-    const std::string err = path_err(path, "invalid dataset: " + invalid);
+  if (const std::string invalid = out.validate_and_index(); !invalid.empty()) {
     out = Dataset{};
-    result.error = err;
-    return result;
-  }
-  if (!out.build_index()) {
-    // validate() passed, so this is unreachable in practice; treat a
-    // disagreement between the two checks as a corrupt file anyway.
-    const std::string err =
-        path_err(path, "invalid dataset: samples not (device, bin)-ordered");
-    out = Dataset{};
-    result.error = err;
+    result.error = path_err(path, "invalid dataset: " + invalid);
     return result;
   }
 
@@ -773,17 +762,6 @@ fs::path campaign_cache_path(const fs::path& dir,
   std::snprintf(name, sizeof(name), "campaign-v%u-%d-%016" PRIx64 ".tksnap",
                 kSnapshotVersion, year_number(config.year),
                 scenario_hash(config));
-  return dir / name;
-}
-
-fs::path campaign_cache_shard_dir(const fs::path& dir,
-                                  const ScenarioConfig& config,
-                                  std::size_t shards) {
-  char name[96];
-  std::snprintf(name, sizeof(name),
-                "campaign-v%u-%d-%016" PRIx64 "-s%zu.tkshards",
-                kSnapshotVersion, year_number(config.year),
-                scenario_hash(config), shards);
   return dir / name;
 }
 

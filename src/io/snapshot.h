@@ -18,8 +18,9 @@
 // `app_traffic`) zero-copy as borrowed Columns pinning the mapping;
 // non-mappable inputs (or allow_mmap = false) fall back to an owned
 // read. Either way the file is fully verified first — magic, version,
-// record sizes, section bounds, checksums, then Dataset::validate() —
-// so a truncated or corrupted snapshot is a clean error, never UB.
+// record sizes, section bounds, checksums, then
+// Dataset::validate_and_index() — so a truncated or corrupted snapshot
+// is a clean error, never UB.
 //
 // The format uses native (x86-64) field layout; the header records the
 // record sizes and a version so an incompatible reader rejects the file
@@ -89,11 +90,11 @@ struct SnapshotInfo {
 struct SnapshotLoadOptions {
   /// When false, skip mmap and always read into owned memory.
   bool allow_mmap = true;
-  /// When true, skip Dataset::validate() and the index build after the
+  /// When true, skip Dataset::validate_and_index() after the
   /// checksum-verified read. For snapshots that are not self-contained —
   /// a shard file stores no AP universe, so its samples reference APs
   /// the file does not carry — the caller installs the missing tables
-  /// and then validates/indexes itself (io/shard_store.cc does).
+  /// and then runs validate_and_index() itself (io/shard_store.cc does).
   bool defer_validate = false;
   /// When false, skip the per-section payload checksum re-hash (the
   /// header and section-table checksum is always verified). Only for
@@ -129,14 +130,5 @@ struct SnapshotLoadOptions {
 /// campaign-v<version>-<year>-<scenario hash, hex>.tksnap
 [[nodiscard]] std::filesystem::path campaign_cache_path(
     const std::filesystem::path& dir, const ScenarioConfig& config);
-
-/// Directory name a *sharded* campaign cache entry gets inside `dir`:
-/// campaign-v<version>-<year>-<scenario hash, hex>-s<shards>.tkshards
-/// The shard count is part of the key (and the .tkshards suffix keeps
-/// the namespace disjoint from single-file entries), so a sharded
-/// request can never be served an in-memory blob — and vice versa.
-[[nodiscard]] std::filesystem::path campaign_cache_shard_dir(
-    const std::filesystem::path& dir, const ScenarioConfig& config,
-    std::size_t shards);
 
 }  // namespace tokyonet::io

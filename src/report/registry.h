@@ -69,8 +69,8 @@ struct FigureSpec {
   /// several years (e.g. Table 3's growth rates).
   std::vector<Year> years;
   FigureFn fn = nullptr;
-  /// True when the figure can render from a sharded store without
-  /// materializing the campaign (`fig run --out-of-core`). Every figure
+  /// True when the figure can render from a sharded store, which is
+  /// always read out of core (`fig run --shard-dir`). Every figure
   /// reads its campaign through FigureContext::source(), so
   /// FigureRegistry::add() sets this from per_year(): only the
   /// longitudinal figures, which span all three campaigns, stay false.

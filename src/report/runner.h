@@ -66,18 +66,8 @@ class Runner {
   /// resolution for that year.
   void adopt(Year year, Dataset ds);
 
-  /// Opens a sharded campaign store (io/shard_store.h), materializes it
-  /// back into one in-memory Dataset and adopt()s the result as
-  /// `year`'s campaign. Fails if the store's campaign year disagrees
-  /// with `year`. `resident_shards` >= 1 overlaps the next shard's load
-  /// with the current shard's concatenation (io::ShardedDataset::
-  /// materialize); 0 loads strictly sequentially.
-  [[nodiscard]] io::SnapshotResult adopt_shards(
-      Year year, const std::filesystem::path& dir,
-      std::size_t resident_shards = 1);
-
-  /// Opens a sharded campaign store and installs it as `year`'s
-  /// campaign WITHOUT materializing it: every figure flagged
+  /// Opens a sharded campaign store (io/shard_store.h) and installs it
+  /// as `year`'s campaign, read out of core: every figure flagged
   /// FigureSpec::out_of_core then runs through a query::ShardedSource
   /// holding at most `resident_shards + 1` shards resident (exactly one
   /// at resident_shards = 0), byte-identical to the in-memory run.

@@ -426,6 +426,27 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     EXPECT_NE(s->error().find("outside the announced campaign"),
               std::string::npos);
   }
+  {  // Out-of-range enum or bool bytes from a client that computes its
+     // own CRC: the stream summary indexes arrays by these fields
+     // (app_rx[category]), so the decoder must reject them.
+    const auto poison = [](auto& field) { std::memset(&field, 0xC8, 1); };
+    for (int which = 0; which < 4; ++which) {
+      std::vector<Sample> samples = {ds.samples[0]};  // 2 app records
+      std::vector<AppTraffic> apps = {ds.app_traffic[0], ds.app_traffic[1]};
+      if (which == 0) poison(apps[1].category);
+      if (which == 1) poison(samples[0].wifi_state);
+      if (which == 2) poison(samples[0].tech);
+      if (which == 3) poison(samples[0].tethering);
+      IngestServer server(IngestConfig{});
+      auto s = server.connect();
+      std::vector<std::uint8_t> bytes;
+      encode_begin(begin_payload_for(ds), bytes);
+      encode_records(DeviceId{0}, samples, apps, bytes);
+      EXPECT_FALSE(s->feed(bytes)) << "case " << which;
+      EXPECT_NE(s->error().find("out-of-range"), std::string::npos)
+          << "case " << which << ": " << s->error();
+    }
+  }
 }
 
 TEST(IngestServerTest, SecondSessionMustAnnounceTheSameCampaign) {

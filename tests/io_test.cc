@@ -3,6 +3,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/classify.h"
 #include "analysis/volumes.h"
@@ -77,6 +81,28 @@ TEST(PrintSeries, SubsamplesLongSeries) {
   int lines = 0;
   for (char c : std::string(buf)) lines += c == '\n';
   EXPECT_LE(lines, 12);
+}
+
+/// Overwrites column `col` of the first data row of the CSV at `path`.
+void replace_field(const fs::path& path, std::size_t col,
+                   const std::string& value) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 2u) << path;
+  std::vector<std::string> fields;
+  std::stringstream row(lines[1]);
+  for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+  ASSERT_LT(col, fields.size()) << path;
+  fields[col] = value;
+  lines[1].clear();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    lines[1] += (i == 0 ? "" : ",") + fields[i];
+  }
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& line : lines) out << line << '\n';
 }
 
 class CsvRoundTrip : public ::testing::Test {
@@ -192,6 +218,33 @@ TEST_F(CsvRoundTrip, DanglingApReferenceFails) {
   Dataset loaded;
   const CsvResult r = load_dataset_csv(dir_, loaded);
   EXPECT_FALSE(r.ok());
+}
+
+// Enum columns are range-checked like the app category: analysis
+// indexes arrays by carrier, wifi state, ... so an out-of-range value
+// is a malformed row, never a value that reaches a kernel.
+TEST_F(CsvRoundTrip, OutOfRangeEnumColumnsFail) {
+  Dataset ds = test::empty_dataset(2, 1);
+  const ApId ap = test::add_ap(ds, "cafe");
+  test::add_sample(ds, 0, 0, 1000, 0);
+  test::add_sample(ds, 1, 0, 0, 2000, WifiState::Associated, ap);
+  test::build_index(ds);
+
+  struct Case {
+    const char* file;
+    std::size_t col;
+  };
+  for (const Case c : {Case{"devices.csv", 1}, Case{"devices.csv", 2},
+                       Case{"aps.csv", 3}, Case{"samples.csv", 8},
+                       Case{"samples.csv", 9}, Case{"survey.csv", 1},
+                       Case{"survey.csv", 2}}) {
+    ASSERT_TRUE(save_dataset_csv(ds, dir_).ok());
+    replace_field(dir_ / c.file, c.col, "77");
+    Dataset loaded;
+    const CsvResult r = load_dataset_csv(dir_, loaded);
+    EXPECT_FALSE(r.ok()) << c.file << " column " << c.col;
+    EXPECT_NE(r.error.find("malformed row"), std::string::npos) << r.error;
+  }
 }
 
 }  // namespace

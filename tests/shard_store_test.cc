@@ -1,9 +1,8 @@
 // Sharded campaign store (io/shard_store.h) + streaming runner
 // (sim/stream_runner.h) + the out-of-core headline battery (a Runner
-// over Runner::adopt_shards_out_of_core):
-// byte-identity against the one-shot simulator at several shard
-// counts, the failure modes of the directory format, and the sharded
-// campaign-cache storage mode.
+// over Runner::adopt_shards_out_of_core): byte-identity against the
+// one-shot simulator at several shard counts, and the failure modes of
+// the directory format.
 #include "io/shard_store.h"
 
 #include <gtest/gtest.h>
@@ -124,6 +123,47 @@ auto fields(const DeviceTruth& t) {
                     t.update_bin, t.capped_day, t.is_tetherer);
 }
 
+/// Concatenates every shard of `store` into one Dataset with global
+/// device ids and rebased app-traffic offsets — the test's oracle for
+/// the partition-invariance claim (the store itself is only ever read
+/// shard by shard).
+Dataset concat_shards(io::ShardedDataset& store) {
+  Dataset out;
+  out.year = store.year();
+  out.calendar = store.calendar();
+  for (std::size_t i = 0; i < store.num_shards(); ++i) {
+    Dataset shard;
+    const io::SnapshotResult r = store.load_shard(i, shard);
+    EXPECT_TRUE(r.ok()) << r.error;
+    // Every shard carries the shared universe; take it once.
+    if (i == 0) out.truth.aps = shard.truth.aps;
+    const std::size_t device_base = store.device_begin(i);
+    const auto app_base = static_cast<std::uint32_t>(out.app_traffic.size());
+    for (DeviceInfo d : shard.devices) {
+      d.id = DeviceId{static_cast<std::uint32_t>(device_base + value(d.id))};
+      out.devices.push_back(d);
+    }
+    out.survey.insert(out.survey.end(), shard.survey.begin(),
+                      shard.survey.end());
+    out.truth.devices.insert(out.truth.devices.end(),
+                             shard.truth.devices.begin(),
+                             shard.truth.devices.end());
+    out.app_traffic.insert(out.app_traffic.cend(), shard.app_traffic.begin(),
+                           shard.app_traffic.end());
+    // Device ids always rebase; app_begin only for Android devices — iOS
+    // samples keep app_begin = 0, exactly as the simulator's splice
+    // leaves them.
+    for (Sample s : shard.samples) {
+      const std::size_t local = value(s.device);
+      s.device = DeviceId{static_cast<std::uint32_t>(device_base + local)};
+      if (shard.devices[local].os == Os::Android) s.app_begin += app_base;
+      out.samples.push_back(s);
+    }
+  }
+  out.aps = store.universe_aps();
+  return out;
+}
+
 template <typename T>
 void expect_elements_equal(std::span<const T> a, std::span<const T> b,
                            const char* what) {
@@ -137,9 +177,10 @@ void expect_elements_equal(std::span<const T> a, std::span<const T> b,
 }
 
 // The partition-invariance claim: a campaign streamed shard by shard
-// and materialized back equals the one-shot in-memory simulation — the
-// packed sample column byte for byte, everything else field for field —
-// at any shard count.
+// and read back through load_shard() — concatenated here by the test's
+// own oracle — equals the one-shot in-memory simulation: the packed
+// sample column byte for byte, everything else field for field, at any
+// shard count.
 TEST_P(ShardRoundTrip, MaterializedMatchesSimulator) {
   const std::size_t shards = GetParam();
   const ScenarioConfig config =
@@ -150,9 +191,7 @@ TEST_P(ShardRoundTrip, MaterializedMatchesSimulator) {
   ASSERT_EQ(store.num_shards(), shards);
   ASSERT_EQ(store.manifest().scenario_hash, scenario_hash(config));
 
-  Dataset materialized;
-  const io::SnapshotResult m = store.materialize(materialized);
-  ASSERT_TRUE(m.ok()) << m.error;
+  const Dataset materialized = concat_shards(store);
   const Dataset fresh = sim::Simulator(config).run();
   ASSERT_EQ(materialized.devices.size(), fresh.devices.size());
   EXPECT_EQ(materialized.year, fresh.year);
@@ -267,7 +306,8 @@ TEST(ShardStore, OutOfCoreBatterySkipsFig18Before2015) {
   for (const report::Table& t : tables) EXPECT_NE(t.id, "fig18");
 }
 
-// Runner::adopt_shards refuses a store for a different campaign year.
+// Runner::adopt_shards_out_of_core refuses a store for a different
+// campaign year.
 TEST(ShardStore, AdoptShardsChecksYear) {
   const ScenarioConfig config =
       scenario_config(Year::Y2014, kShardTestScale);
@@ -277,10 +317,12 @@ TEST(ShardStore, AdoptShardsChecksYear) {
   ASSERT_TRUE(sim::stream_campaign(config, tmp.path / "store", opts).ok());
 
   report::Runner wrong;
-  EXPECT_FALSE(wrong.adopt_shards(Year::Y2015, tmp.path / "store").ok());
+  EXPECT_FALSE(
+      wrong.adopt_shards_out_of_core(Year::Y2015, tmp.path / "store").ok());
   report::Runner right;
-  ASSERT_TRUE(right.adopt_shards(Year::Y2014, tmp.path / "store").ok());
-  EXPECT_EQ(right.dataset(Year::Y2014).year, Year::Y2014);
+  ASSERT_TRUE(
+      right.adopt_shards_out_of_core(Year::Y2014, tmp.path / "store").ok());
+  EXPECT_EQ(right.analysis(Year::Y2014).source().year(), Year::Y2014);
 }
 
 // --- Failure modes -----------------------------------------------------
@@ -497,26 +539,6 @@ TEST(ShardPipeline, StreamWriterPipelineMatchesSequential) {
   }
 }
 
-// materialize() with the load-ahead thread returns the same dataset as
-// the strictly sequential loader.
-TEST(ShardStore, MaterializeResidencyInvariant) {
-  const ScenarioConfig config =
-      scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
-  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
-
-  Dataset sequential;
-  ASSERT_TRUE(store.materialize(sequential, {}, 0).ok());
-  Dataset pipelined;
-  ASSERT_TRUE(store.materialize(pipelined, {}, 1).ok());
-  ASSERT_EQ(pipelined.devices.size(), sequential.devices.size());
-  ASSERT_EQ(pipelined.samples.size(), sequential.samples.size());
-  EXPECT_EQ(std::memcmp(pipelined.samples.span().data(),
-                        sequential.samples.span().data(),
-                        sequential.samples.span().size_bytes()),
-            0);
-}
-
 // The full determinism matrix: the out-of-core battery's canonical JSON
 // must byte-match the in-memory registry rendering at every shard count
 // x residency budget (the thread dimension comes from the
@@ -606,50 +628,6 @@ TEST(ShardStore, ShardVerifyAlwaysRestoresRehash) {
   const io::SnapshotResult again = store.load_shard(0, out);
   EXPECT_FALSE(again.ok());
   EXPECT_NE(again.error.find("checksum"), std::string::npos) << again.error;
-}
-
-// --- Sharded campaign-cache storage mode -------------------------------
-
-TEST(ShardedCampaignCache, MissThenHitAndDisjointKeyspace) {
-  TempDir tmp;
-  ASSERT_EQ(::setenv("TOKYONET_CACHE_DIR", tmp.path.c_str(), 1), 0);
-  ASSERT_EQ(::setenv("TOKYONET_CACHE_SHARDS", "3", 1), 0);
-  const ScenarioConfig config =
-      scenario_config(Year::Y2013, kShardTestScale);
-
-  sim::CampaignCacheStatus first;
-  const Dataset cold = sim::cached_campaign(config, &first);
-  EXPECT_TRUE(first.enabled);
-  EXPECT_FALSE(first.hit);
-  EXPECT_TRUE(first.detail.empty()) << first.detail;
-  EXPECT_TRUE(io::is_shard_dir(first.path)) << first.path;
-  EXPECT_NE(first.path.string().find("-s3.tkshards"), std::string::npos)
-      << first.path;
-
-  sim::CampaignCacheStatus second;
-  const Dataset warm = sim::cached_campaign(config, &second);
-  EXPECT_TRUE(second.hit);
-  ASSERT_EQ(warm.devices.size(), cold.devices.size());
-  ASSERT_EQ(warm.samples.size(), cold.samples.size());
-
-  // The sharded entry lives under its own key: flipping the mode off
-  // must miss (classic single-file key), not read the directory.
-  ASSERT_EQ(::unsetenv("TOKYONET_CACHE_SHARDS"), 0);
-  sim::CampaignCacheStatus classic;
-  const Dataset replay = sim::cached_campaign(config, &classic);
-  EXPECT_FALSE(classic.hit);
-  EXPECT_NE(classic.path, second.path);
-  ASSERT_EQ(replay.samples.size(), cold.samples.size());
-
-  // ...and a different shard count is again a different entry.
-  ASSERT_EQ(::setenv("TOKYONET_CACHE_SHARDS", "5", 1), 0);
-  sim::CampaignCacheStatus resharded;
-  (void)sim::cached_campaign(config, &resharded);
-  EXPECT_FALSE(resharded.hit);
-  EXPECT_NE(resharded.path, second.path);
-
-  ASSERT_EQ(::unsetenv("TOKYONET_CACHE_SHARDS"), 0);
-  ASSERT_EQ(::unsetenv("TOKYONET_CACHE_DIR"), 0);
 }
 
 }  // namespace

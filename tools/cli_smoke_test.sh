@@ -65,26 +65,29 @@ expect 4 "${tokyonet}" fig all --check-goldens --goldens "${tmp}/empty-goldens"
 expect 0 "${tokyonet}" snapshot shard --year 2015 --scale 0.02 \
     --out "${tmp}/shards" --shards 2
 expect 0 "${tokyonet}" snapshot info --in "${tmp}/shards"
-expect 0 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core
-expect 2 "${tokyonet}" report --out-of-core  # needs --shard-dir
+expect 0 "${tokyonet}" report --shard-dir "${tmp}/shards"
+expect 0 "${tokyonet}" report --shard-dir "${tmp}/shards" --resident-shards 0
 
-# Out-of-core figure rendering: every per-year figure works (the Fig 6
-# ratio scan included), a longitudinal figure — it spans all three
-# campaigns, a store holds one — is rejected with 2 (and the supported
-# ids on stderr), and --out-of-core without a store is usage.
-expect 0 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
-    --out-of-core
+# A shard store is always read out of core: every per-year figure works
+# (the Fig 6 ratio scan included), a longitudinal figure — it spans all
+# three campaigns, a store holds one — is rejected with 2 (and the
+# supported ids on stderr), and so is another campaign year. The old
+# --out-of-core switch is gone: it is now an unknown flag.
+expect 0 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards"
 expect 0 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards" \
-    --out-of-core --resident-shards 2
-expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
+    --resident-shards 2
+expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards"
+expect 0 "${tokyonet}" fig all --shard-dir "${tmp}/shards" --format json
+expect 2 "${tokyonet}" fig run fig01 --shard-dir "${tmp}/shards"  # longitudinal
+expect 2 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
+    --year 2013  # the store holds 2015
+expect 2 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
     --out-of-core
-expect 2 "${tokyonet}" fig run fig01 --shard-dir "${tmp}/shards" \
-    --out-of-core  # longitudinal
-expect 2 "${tokyonet}" fig run table01 --out-of-core  # needs --shard-dir
+expect 2 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core
 rejection="$("${tokyonet}" fig run fig01 --shard-dir "${tmp}/shards" \
-    --out-of-core 2>&1 || true)"
+    2>&1 || true)"
 if ! echo "${rejection}" | grep -q "fig12"; then
-  echo "FAIL: rejected --out-of-core run must list the supported ids" >&2
+  echo "FAIL: rejected shard-store run must list the supported ids" >&2
   exit 1
 fi
 echo "ok: longitudinal rejection lists supported ids"
@@ -105,9 +108,7 @@ expect 3 "${tokyonet}" snapshot info --in "${tmp}/no-such-store"
 expect 3 "${tokyonet}" report --shard-dir "${tmp}/no-such-store"
 rm "${tmp}/shards/shard-0001.tksnap"
 expect 4 "${tokyonet}" snapshot info --in "${tmp}/shards"
-expect 4 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core
+expect 4 "${tokyonet}" report --shard-dir "${tmp}/shards"
 expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards"
-expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
-    --out-of-core
 
 echo "PASS: exit-code contract holds"

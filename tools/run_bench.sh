@@ -220,7 +220,7 @@ if [ -n "${shard_demo_scale}" ]; then
          cat "${tmp_dir}/shard_demo.log" >&2; exit 1; }
   echo "shard demo: out-of-core battery..."
   measure_rss "${tmp_dir}/shard_report.rss" \
-      "${cli}" report --shard-dir "${demo_dir}" --out-of-core \
+      "${cli}" report --shard-dir "${demo_dir}" \
       >> "${tmp_dir}/shard_demo.log" 2>&1 \
     || { echo "error: out-of-core report failed; log follows" >&2; \
          cat "${tmp_dir}/shard_demo.log" >&2; exit 1; }
@@ -270,8 +270,7 @@ if [ -n "${ooc_demo_scale}" ]; then
   for k in 0 1 4; do
     echo "out-of-core demo: battery at --resident-shards ${k}..."
     python3 - "${tmp_dir}/ooc_k${k}" "${cli}" report \
-        --shard-dir "${ooc_dir}" --out-of-core \
-        --resident-shards "${k}" <<'PYOOC' \
+        --shard-dir "${ooc_dir}" --resident-shards "${k}" <<'PYOOC' \
       >> "${tmp_dir}/ooc_demo.log" 2>&1 \
       || { echo "error: out-of-core battery (K=${k}) failed; log follows" >&2; \
            cat "${tmp_dir}/ooc_demo.log" >&2; exit 1; }

@@ -7,41 +7,37 @@
 //
 //   tokyonet fig run <id> [--year Y] [--scale S] [--seed N]
 //                    [--format text|csv|json] [--shard-dir DIR]
-//                    [--out-of-core] [--resident-shards K]
+//                    [--resident-shards K]
 //       Render one registered reproduction. Without --year a per-year
 //       figure is stacked over all its paper years; longitudinal
 //       figures take no --year. With --shard-dir the campaign comes
-//       from a sharded store instead of simulation
-//       (--resident-shards >= 1 overlaps shard loads with the rebase).
-//       Adding --out-of-core renders the figure by scanning shards with
-//       bounded memory (never materializing the campaign); the
-//       longitudinal figures, which span all three campaigns, are
-//       rejected with exit 2 and the list of supported ids.
+//       from a sharded store, scanned out of core with bounded memory
+//       (see `report`), and the figure renders for the store's campaign
+//       year; another --year and the longitudinal figures, which span
+//       all three campaigns, are rejected with exit 2 (the latter with
+//       the list of supported ids).
 //
 //   tokyonet fig all [--format text|csv|json] [--shard-dir DIR]
-//                    [--out-of-core] [--resident-shards K]
+//                    [--resident-shards K]
 //   tokyonet fig all --update-goldens [--goldens DIR]
 //   tokyonet fig all --check-goldens [--goldens DIR]
 //       Render the whole catalog, or write / byte-compare the golden
 //       canonical-JSON files (always at the pinned golden scale).
-//       With --shard-dir --out-of-core, render every out-of-core
-//       capable figure for the store's campaign year with bounded
-//       memory.
+//       With --shard-dir, render every out-of-core capable figure for
+//       the store's campaign year with bounded memory.
 //
 //   tokyonet simulate --year 2015 [--scale S] [--seed N] --out DIR
 //       Simulate a campaign and export it as CSV (observable data only).
 //
-//   tokyonet report (--in DIR | --shard-dir DIR [--out-of-core]
-//                    [--resident-shards K] | --year Y [--scale S])
+//   tokyonet report (--in DIR | --shard-dir DIR [--resident-shards K]
+//                    | --year Y [--scale S])
 //       Print the headline reproductions for a dataset through the
 //       figure registry (Table 1, Fig 2, user types, Table 4, offload
 //       opportunity, and for 2015 the update event). --shard-dir reads
-//       a sharded campaign store; with --out-of-core the figures are
-//       computed by scanning shards with bounded memory instead of
-//       materializing the campaign, exactly as `fig run --out-of-core`
-//       does: --resident-shards K (default 1, or
-//       TOKYONET_RESIDENT_SHARDS) pipelines the scan with at most K+1
-//       shards resident — 0 restores the strict one-shard-at-a-time
+//       a sharded campaign store out of core: the figures scan shards
+//       with bounded memory, exactly as `fig run --shard-dir` does.
+//       --resident-shards K (default 1) pipelines the scan with at most
+//       K+1 shards resident — 0 restores the strict one-shard-at-a-time
 //       scan — and the tables are byte-identical at every K.
 //
 //   tokyonet years [--scale S]
@@ -142,11 +138,9 @@ struct Args {
   std::string in_dir;
   std::string out_dir;
   std::string shard_dir;
-  bool out_of_core = false;
   // The K of DESIGN.md §5j: 0 = strict sequential shard scan, 1 =
   // prefetch one shard ahead, K >= 2 = scan K shards concurrently.
-  // Defaults from TOKYONET_RESIDENT_SHARDS; --resident-shards overrides.
-  std::size_t resident_shards = io::resident_shards_from_env(1);
+  std::size_t resident_shards = 1;
 
   // fig flags
   std::string figure_id;
@@ -175,16 +169,15 @@ int usage() {
                "  tokyonet fig list [--ids]\n"
                "  tokyonet fig run <id> [--year Y] [--scale S] [--seed N] "
                "[--format text|csv|json] [--shard-dir DIR] "
-               "[--out-of-core] [--resident-shards K]\n"
+               "[--resident-shards K]\n"
                "  tokyonet fig all [--format text|csv|json] "
-               "[--shard-dir DIR] [--out-of-core] [--resident-shards K]\n"
+               "[--shard-dir DIR] [--resident-shards K]\n"
                "  tokyonet fig all --update-goldens|--check-goldens "
                "[--goldens DIR]\n"
                "  tokyonet simulate --year 2013|2014|2015 [--scale S] "
                "[--seed N] --out DIR\n"
                "  tokyonet report (--in DIR | --shard-dir DIR "
-               "[--out-of-core] [--resident-shards K] | --year Y "
-               "[--scale S])\n"
+               "[--resident-shards K] | --year Y [--scale S])\n"
                "  tokyonet years [--scale S]\n"
                "  tokyonet snapshot save --year Y [--scale S] [--seed N] "
                "--out FILE\n"
@@ -301,8 +294,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (v == nullptr) return false;
       args.shard_dir = v;
-    } else if (flag == "--out-of-core") {
-      args.out_of_core = true;
     } else if (flag == "--resident-shards") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -388,13 +379,11 @@ int snapshot_failure_code(const std::string& path) {
   return std::filesystem::exists(path, ec) ? kExitVerify : kExitLoad;
 }
 
-// Installs the campaign held by shard directory `dir` into `runner` —
-// materialized, or with `out_of_core` as a query::ShardedSource the
-// figures scan with bounded memory — and reports its year. Returns
-// kExitOk or the exit code to fail with.
+// Installs the campaign held by shard directory `dir` into `runner` as
+// a query::ShardedSource the figures scan with bounded memory, and
+// reports its year. Returns kExitOk or the exit code to fail with.
 int adopt_shard_dir(report::Runner& runner, const std::string& dir,
-                    std::size_t resident_shards, bool out_of_core,
-                    Year& out_year) {
+                    std::size_t resident_shards, Year& out_year) {
   io::ShardManifest m;
   const io::SnapshotResult r = io::read_shard_manifest(dir, m);
   if (!r.ok()) {
@@ -407,21 +396,17 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
                  dir.c_str(), m.year);
     return kExitVerify;
   }
-  if (out_of_core) {
-    // The out-of-core bound is K+1 resident shards plus O(devices + aps)
-    // state. glibc's malloc would add 64 MB of reserved address space
-    // per allocating thread (pool workers, K scanners, the prefetcher):
-    // several times the bound, all of it counted by `ulimit -v`. One
-    // shared arena keeps the address space near the resident set;
-    // small allocations stay thread-local in its per-thread cache.
+  // The out-of-core bound is K+1 resident shards plus O(devices + aps)
+  // state. glibc's malloc would add 64 MB of reserved address space per
+  // allocating thread (pool workers, K scanners, the prefetcher):
+  // several times the bound, all of it counted by `ulimit -v`. One
+  // shared arena keeps the address space near the resident set; small
+  // allocations stay thread-local in its per-thread cache.
 #ifdef M_ARENA_MAX
-    mallopt(M_ARENA_MAX, 1);
+  mallopt(M_ARENA_MAX, 1);
 #endif
-  }
   const io::SnapshotResult a =
-      out_of_core
-          ? runner.adopt_shards_out_of_core(*year, dir, resident_shards)
-          : runner.adopt_shards(*year, dir, resident_shards);
+      runner.adopt_shards_out_of_core(*year, dir, resident_shards);
   if (!a.ok()) {
     std::fprintf(stderr, "shard store: %s\n", a.error.c_str());
     return snapshot_failure_code(dir);
@@ -430,10 +415,10 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
   return kExitOk;
 }
 
-// The non-negotiable precondition of --out-of-core figure rendering: a
-// store to scan, and a per-year figure — a longitudinal one spans all
-// three campaigns, while a store holds one. Prints the supported ids on
-// rejection so the caller can pick one.
+// The non-negotiable precondition of rendering from a shard store: a
+// per-year figure — a longitudinal one spans all three campaigns, while
+// a store holds one. Prints the supported ids on rejection so the
+// caller can pick one.
 int reject_non_ooc_figure(const report::FigureSpec& spec) {
   std::fprintf(stderr,
                "%s cannot run out-of-core (it is longitudinal: it spans "
@@ -505,12 +490,8 @@ int cmd_fig_run(const Args& args) {
                  args.figure_id.c_str());
     return kExitUsage;
   }
-  if (args.out_of_core) {
-    if (args.shard_dir.empty()) {
-      std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
-      return kExitUsage;
-    }
-    if (!spec->out_of_core) return reject_non_ooc_figure(*spec);
+  if (!args.shard_dir.empty() && !spec->out_of_core) {
+    return reject_non_ooc_figure(*spec);
   }
   std::optional<Year> year;
   if (args.year) {
@@ -529,19 +510,18 @@ int cmd_fig_run(const Args& args) {
   if (!args.shard_dir.empty()) {
     Year store_year;
     const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, args.out_of_core,
-                                   store_year);
+                                   args.resident_shards, store_year);
     if (rc != kExitOk) return rc;
-    if (args.out_of_core && year && *year != store_year) {
+    if (year && *year != store_year) {
       // The other years would have to be simulated in memory, defeating
-      // the bounded-memory point of --out-of-core.
+      // the bounded-memory point of a shard store.
       std::fprintf(stderr,
-                   "--out-of-core renders the store's campaign year only\n");
+                   "--shard-dir renders the store's campaign year only\n");
       return kExitUsage;
     }
-    // A per-year figure defaults to the store's campaign year instead
-    // of stacking (the other years would have to be simulated).
-    if (spec->per_year() && !year) year = store_year;
+    // The figure renders for the store's campaign year instead of
+    // stacking (the other years would have to be simulated).
+    year = store_year;
   }
   const report::Table table = (spec->per_year() && !year)
                                   ? runner.run_stacked(*spec)
@@ -582,34 +562,29 @@ int cmd_fig_all(const Args& args) {
     return kExitOk;
   }
 
-  if (args.out_of_core && args.shard_dir.empty()) {
-    std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
-    return kExitUsage;
-  }
   report::Runner runner(runner_options(args));
   std::optional<Year> store_year;
   if (!args.shard_dir.empty()) {
     Year y;
-    const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, args.out_of_core, y);
+    const int rc =
+        adopt_shard_dir(runner, args.shard_dir, args.resident_shards, y);
     if (rc != kExitOk) return rc;
     store_year = y;
   }
   const auto& registry = report::FigureRegistry::instance();
   bool first = true;
   for (const report::FigureSpec& spec : registry.figures()) {
-    // Out of core, the catalog narrows to the shard-decomposable
+    // From a shard store, the catalog narrows to the shard-decomposable
     // figures for the store's campaign year — everything else would
-    // materialize or simulate a campaign.
-    if (args.out_of_core &&
+    // simulate a campaign.
+    if (store_year &&
         (!spec.out_of_core || !spec.applies_to(*store_year))) {
       continue;
     }
     if (!first && args.format == "text") std::printf("\n");
     first = false;
-    const report::Table table = args.out_of_core
-                                    ? runner.run(spec, *store_year)
-                                    : runner.run_stacked(spec);
+    const report::Table table = store_year ? runner.run(spec, *store_year)
+                                           : runner.run_stacked(spec);
     if (!render_table(table, args.format)) return kExitUsage;
   }
   return kExitOk;
@@ -685,16 +660,11 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
-  if (args.out_of_core && args.shard_dir.empty()) {
-    std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
-    return kExitUsage;
-  }
   report::Runner runner(runner_options(args));
   Year year;
   if (!args.shard_dir.empty()) {
-    const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, args.out_of_core,
-                                   year);
+    const int rc =
+        adopt_shard_dir(runner, args.shard_dir, args.resident_shards, year);
     if (rc != kExitOk) return rc;
   } else if (!args.in_dir.empty()) {
     Dataset ds;
