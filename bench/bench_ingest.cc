@@ -1,11 +1,10 @@
 // Streaming ingest throughput (DESIGN.md §5e): loopback replay of each
 // campaign through the sharded IngestServer, verifying on the way that
-// the stream summary of the committed records is byte-identical to the
-// summary of the replayed campaign.
+// the committed samples and app records are byte-identical to the
+// replayed campaign's (ingest::replay_mismatch).
 //
 // Reproduction lines are greppable (`tokyonet-ingest: key=value ...`)
 // so tools/run_bench.sh can lift replay throughput into the bench JSON.
-#include "analysis/stream_result.h"
 #include "common.h"
 #include "ingest/replay.h"
 #include "ingest/server.h"
@@ -26,12 +25,12 @@ struct LoopbackRun {
 
 /// Replays `ds` through an in-process server and waits (shutdown) until
 /// every routed batch is committed, so records/sec measures the full
-/// pipeline: encode -> parse -> route -> shard commit. When `result` is
-/// given, it receives the server's stream summary, queried after the
-/// clock stops (a batch analysis of the committed records).
+/// pipeline: encode -> parse -> route -> shard commit. When `mismatch`
+/// is given, it receives replay_mismatch() of the committed records,
+/// checked after the clock stops.
 LoopbackRun run_loopback(const Dataset& ds, int shards, bool shed,
                          std::size_t queue_capacity,
-                         analysis::StreamResult* result = nullptr) {
+                         std::string* mismatch = nullptr) {
   ingest::IngestConfig cfg;
   cfg.shards = shards;
   cfg.queue_capacity = queue_capacity;
@@ -52,7 +51,9 @@ LoopbackRun run_loopback(const Dataset& ds, int shards, bool shed,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   run.counters = server.counters();
-  if (result != nullptr) *result = server.result();
+  if (mismatch != nullptr) {
+    *mismatch = ingest::replay_mismatch(ds, server.collect());
+  }
   return run;
 }
 
@@ -78,12 +79,10 @@ void print_reproduction() {
                       "streaming ingest replay (DESIGN.md §5e)");
   for (const Year year : {Year::Y2013, Year::Y2014, Year::Y2015}) {
     const Dataset& ds = bench::campaign(year);  // materialize pre-server
-    const analysis::StreamResult batch = analysis::batch_stream_result(ds);
     for (const int shards : {1, 4}) {
-      analysis::StreamResult result;
+      std::string diff;
       const LoopbackRun run = run_loopback(ds, shards, /*shed=*/false,
-                                           /*queue_capacity=*/64, &result);
-      const std::string diff = analysis::compare_stream_results(result, batch);
+                                           /*queue_capacity=*/64, &diff);
       if (!run.clean || !diff.empty()) {
         std::printf("bench_ingest: FAILED (year=%d shards=%d): %s\n",
                     year_number(year), shards,

@@ -1,5 +1,6 @@
 #include "analysis/query/source.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -29,26 +30,14 @@ const std::vector<ApInfo>& ShardedSource::aps() const noexcept {
 void ShardedSource::fold_blocks(const ScanFn& scan, const FoldFn& fold) const {
   const std::size_t n_shards = store_->num_shards();
 
-  if (resident_shards_ == 0) {
-    // Strict sequential scan: one shard resident at a time (the PR 8
-    // path and memory bound).
-    for (std::size_t i = 0; i < n_shards; ++i) {
-      Dataset shard;
-      if (io::SnapshotResult r = store_->load_shard(i, shard); !r.ok()) {
-        throw SourceError(std::move(r));
-      }
-      const std::size_t base = store_->device_begin(i);
-      fold(scan(shard, base), base);
-    }
-    return;
-  }
-
-  // Pipelined scan: the prefetcher's loader thread stays one load ahead
-  // while up to K scanner threads turn delivered shards into partials;
-  // this thread folds the partials in shard order. Residency tokens
-  // bound live shard payloads to K + 1 (K being scanned + one loading);
-  // folded-but-unconsumed partials are whatever the kernel parks —
-  // O(shard devices + touched APs) for every kernel in the catalog.
+  // The prefetcher's loader thread stays one load ahead while up to K
+  // scanner threads turn delivered shards into partials; this thread
+  // folds the partials in shard order. Residency tokens bound live
+  // shard payloads to K + 1 (K being scanned + one loading); K = 0 runs
+  // one scanner under a budget of one token, so exactly one shard is
+  // resident and the loader waits for each scan to finish. Folded-but-
+  // unconsumed partials are whatever the kernel parks — O(shard devices
+  // + touched APs) for every kernel in the catalog.
   const std::size_t k = resident_shards_;
   io::ShardPrefetcher prefetcher(*store_, k + 1);
 
@@ -87,7 +76,8 @@ void ShardedSource::fold_blocks(const ScanFn& scan, const FoldFn& fold) const {
   };
 
   std::vector<std::thread> workers;
-  const std::size_t n_workers = std::min(k, n_shards);
+  const std::size_t n_workers =
+      std::min(std::max<std::size_t>(k, 1), n_shards);
   workers.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) workers.emplace_back(worker);
 

@@ -12,11 +12,11 @@
 //    construction* the plain kernel over the full Dataset — the scan
 //    half keeps its existing chunked-parallel implementation
 //    (query/scan.h) and nothing changes byte-wise.
-//  - ShardedSource walks an io::ShardedDataset shard by shard. With
-//    resident_shards == 0 it loads strictly sequentially (one shard
-//    resident, the PR 8 memory bound); with K >= 1 an io::ShardPrefetcher
-//    keeps one load in flight while up to K scanner threads produce
-//    partials, bounding live shard payloads to K + 1 (DESIGN.md §5j).
+//  - ShardedSource walks an io::ShardedDataset shard by shard: an
+//    io::ShardPrefetcher keeps one load in flight while up to K =
+//    resident_shards scanner threads produce partials, bounding live
+//    shard payloads to K + 1 (DESIGN.md §5j). K = 0 runs one scanner
+//    with a one-shard budget: strictly one shard resident at a time.
 //    Partials are always folded in strict shard order on the calling
 //    thread.
 //
@@ -175,8 +175,9 @@ class InMemorySource final : public DataSource {
 /// times (each call is one full pass over the store).
 class ShardedSource final : public DataSource {
  public:
-  /// `resident_shards` is the K of DESIGN.md §5j: 0 = strict sequential
-  /// one-shard-resident scan, K >= 1 = prefetch + K scanner threads.
+  /// `resident_shards` is the K of DESIGN.md §5j: K >= 1 = prefetch +
+  /// K scanner threads (K + 1 shards resident), 0 = one scanner and
+  /// exactly one shard resident.
   explicit ShardedSource(io::ShardedDataset& store,
                          std::size_t resident_shards = 1) noexcept
       : store_(&store), resident_shards_(resident_shards) {}

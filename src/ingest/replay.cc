@@ -1,6 +1,7 @@
 #include "ingest/replay.h"
 
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 namespace tokyonet::ingest {
@@ -16,6 +17,24 @@ void pace(std::chrono::steady_clock::time_point start, double rate,
                   std::chrono::duration<double>(
                       static_cast<double>(records_sent) / rate));
   std::this_thread::sleep_until(due);
+}
+
+/// "" when `got` and `want` hold the same records byte for byte, else
+/// the first difference.
+template <typename T>
+std::string first_difference(const char* what, std::span<const T> got,
+                             std::span<const T> want) {
+  if (got.size() != want.size()) {
+    return std::string(what) + ": " + std::to_string(got.size()) +
+           " committed vs " + std::to_string(want.size()) + " replayed";
+  }
+  if (got.empty() ||
+      std::memcmp(got.data(), want.data(), got.size_bytes()) == 0) {
+    return "";
+  }
+  std::size_t i = 0;
+  while (std::memcmp(&got[i], &want[i], sizeof(T)) == 0) ++i;
+  return std::string(what) + " record " + std::to_string(i) + " differs";
 }
 
 }  // namespace
@@ -110,6 +129,17 @@ bool replay_dataset(const Dataset& ds, const ReplayOptions& opts,
   encode_end(buf);
   if (!flush()) return finish(false);
   return finish(true);
+}
+
+std::string replay_mismatch(const Dataset& ds,
+                            const IngestServer::CommittedStream& committed) {
+  std::string diff = first_difference<Sample>("samples", committed.samples,
+                                              ds.samples.span());
+  if (diff.empty()) {
+    diff = first_difference<AppTraffic>("app records", committed.app_traffic,
+                                        ds.app_traffic.span());
+  }
+  return diff;
 }
 
 }  // namespace tokyonet::ingest

@@ -2,8 +2,8 @@
 // frame protocol — Begin, then every device's samples as Records frames
 // in time order, then End. This is both the load generator for the
 // `tokyonet ingest` CLI and the reference producer the equivalence
-// tests drive (streamed results must be byte-identical to the batch
-// kernels over the same Dataset).
+// tests drive: ingest is lossless when the server commits the replayed
+// samples and app records byte for byte (`replay_mismatch`).
 //
 // The client is transport-agnostic: it writes encoded frames into a
 // FrameSink, which an in-process loopback (SessionSink) or a TCP client
@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/records.h"
@@ -71,5 +72,12 @@ struct ReplayStats {
 [[nodiscard]] bool replay_dataset(const Dataset& ds,
                                   const ReplayOptions& opts, FrameSink& sink,
                                   ReplayStats* stats = nullptr);
+
+/// The lossless-ingest check: "" when `committed` (IngestServer::
+/// collect()) holds exactly the samples and app records of `ds`, byte
+/// for byte — true of a clean replay at device multiplier 1 with
+/// nothing shed, at any shard count — else the first difference.
+[[nodiscard]] std::string replay_mismatch(
+    const Dataset& ds, const IngestServer::CommittedStream& committed);
 
 }  // namespace tokyonet::ingest

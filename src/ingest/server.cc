@@ -14,6 +14,11 @@ constexpr std::uint32_t kMaxUniverse = 1u << 24;
 
 [[nodiscard]] bool validate_begin(const BeginPayload& info,
                                   std::string* error) {
+  if (info.year < 2013 || info.year > 2015) {
+    *error = "Begin frame announces campaign year " +
+             std::to_string(info.year) + ", not one of 2013..2015";
+    return false;
+  }
   if (info.num_days < 1 ||
       info.num_days > 0xFFFFu / static_cast<std::uint32_t>(kBinsPerDay)) {
     *error = "Begin frame announces an invalid campaign length of " +
@@ -171,11 +176,12 @@ std::optional<BeginPayload> IngestServer::campaign() const {
   return begin_;
 }
 
-analysis::StreamResult IngestServer::result(std::string* error) const {
+std::optional<Dataset> IngestServer::dataset(std::string* error) const {
   const std::optional<BeginPayload> info = campaign();
-  if (!info.has_value()) return {};
+  if (!info.has_value()) return std::nullopt;
 
   Dataset ds;
+  ds.year = static_cast<Year>(info->year - 2013);
   ds.calendar = CampaignCalendar(
       Date{info->start_year, static_cast<int>(info->start_month),
            static_cast<int>(info->start_day)},
@@ -203,9 +209,9 @@ analysis::StreamResult IngestServer::result(std::string* error) const {
     if (error != nullptr) {
       *error = "committed records are not a campaign: " + invalid;
     }
-    return {};
+    return std::nullopt;
   }
-  return analysis::batch_stream_result(ds);
+  return ds;
 }
 
 std::unique_lock<std::mutex> IngestServer::freeze_shard(int shard) const {

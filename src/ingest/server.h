@@ -7,12 +7,14 @@
 // it falls behind (backpressure), or dropping batches with a counter in
 // shed mode — and commits batches into `core::Column`-backed storage.
 // The workers never touch the core::parallel pool, so analysis kernels
-// (including a mid-stream `result()`) run on the pool while a stream is
-// active.
+// run on the pool while a stream is active.
 //
-// Queries run the batch kernels over the committed records: `result()`
-// is `analysis::batch_stream_result()` over `collect()`, framed by the
-// Begin frame.
+// Queries run the batch kernels over the committed records: `dataset()`
+// is `collect()` framed by the Begin frame as an indexed Dataset, which
+// any kernel or `report::Runner::adopt` answers over, mid-stream or
+// after the stream ends. Ingest is lossless when `collect()` holds the
+// replayed campaign's samples and app records byte for byte
+// (`replay_mismatch`, ingest/replay.h).
 //
 // Error discipline: every malformed input — truncated frame, bad CRC,
 // wrong version, out-of-range record references — fails only the
@@ -31,8 +33,8 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/stream_result.h"
 #include "core/column.h"
+#include "core/records.h"
 #include "ingest/frame.h"
 #include "ingest/queue.h"
 
@@ -123,16 +125,16 @@ class IngestServer {
   /// Campaign announced by the first Begin frame (nullopt before).
   [[nodiscard]] std::optional<BeginPayload> campaign() const;
 
-  /// `analysis::batch_stream_result()` over the records committed so
-  /// far, in a Dataset framed by the Begin frame (calendar, device ids,
-  /// AP universe size) with its index built. Safe mid-stream: it reads
-  /// one consistent collect() snapshot, so each call copies and indexes
-  /// every record committed so far. Empty before the first Begin
-  /// frame. Also empty when the committed records are not a campaign in
-  /// (device, bin) order — two sessions replayed the same device, or a
-  /// producer sent a device's bins out of order; `error`, when given,
-  /// then receives the reason.
-  [[nodiscard]] analysis::StreamResult result(
+  /// The records committed so far as a Dataset framed by the Begin
+  /// frame (year, calendar, device ids, AP universe size), with its index
+  /// built. Safe mid-stream: it reads one consistent collect()
+  /// snapshot, so each call copies and indexes every record committed
+  /// so far. nullopt before the first Begin frame. Also nullopt when
+  /// the committed records are not a campaign in (device, bin) order —
+  /// two sessions replayed the same device, or a producer sent a
+  /// device's bins out of order; `error`, when given, then receives the
+  /// reason.
+  [[nodiscard]] std::optional<Dataset> dataset(
       std::string* error = nullptr) const;
 
   /// Locks one shard's committed storage, pausing its worker at the

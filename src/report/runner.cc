@@ -1,7 +1,6 @@
 #include "report/runner.h"
 
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 #include "core/scenario.h"
@@ -65,17 +64,7 @@ void Runner::resolve(Year year) {
       if (opt_.seed) config.seed = *opt_.seed;
       sim::CampaignCacheStatus status;
       ds_[i] = std::make_unique<Dataset>(sim::cached_campaign(config, &status));
-      if (status.enabled && opt_.announce_cache) {
-        // run_bench.sh greps these lines to count cache hits per run;
-        // stderr keeps stdout machine-readable (`--format json`).
-        std::fprintf(stderr, "tokyonet-cache: %s %s\n",
-                     status.hit ? "hit" : "miss",
-                     status.path.string().c_str());
-        if (!status.detail.empty()) {
-          std::fprintf(stderr, "tokyonet-cache: note: %s\n",
-                       status.detail.c_str());
-        }
-      }
+      if (opt_.announce_cache) sim::print_cache_status(status);
     }
     ctx_[i] = std::make_unique<analysis::AnalysisContext>(*ds_[i]);
   });

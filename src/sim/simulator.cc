@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <cstdio>
 #include <system_error>
 
 #include "io/snapshot.h"
@@ -46,6 +47,15 @@ Dataset cached_campaign(const ScenarioConfig& config,
       io::save_snapshot(ds, st.path, scenario_hash(config));
   if (!w.ok()) st.detail = "cache save failed: " + w.error;
   return ds;
+}
+
+void print_cache_status(const CampaignCacheStatus& status) {
+  if (!status.enabled) return;
+  std::fprintf(stderr, "tokyonet-cache: %s %s\n", status.hit ? "hit" : "miss",
+               status.path.string().c_str());
+  if (!status.detail.empty()) {
+    std::fprintf(stderr, "tokyonet-cache: note: %s\n", status.detail.c_str());
+  }
 }
 
 }  // namespace tokyonet::sim

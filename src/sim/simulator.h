@@ -51,4 +51,10 @@ struct CampaignCacheStatus {
 [[nodiscard]] Dataset cached_campaign(const ScenarioConfig& config,
                                       CampaignCacheStatus* status = nullptr);
 
+/// Reports a cache lookup on stderr when the cache is enabled:
+/// `tokyonet-cache: hit|miss PATH`, then `tokyonet-cache: note: DETAIL`
+/// when there is a detail. tools/run_bench.sh greps these lines to count
+/// cache hits per run; stderr keeps stdout machine-readable.
+void print_cache_status(const CampaignCacheStatus& status);
+
 }  // namespace tokyonet::sim

@@ -1,8 +1,9 @@
 // Tests for the streaming ingest subsystem (src/ingest): frame
 // encode/decode round-trips, malformed-frame handling, bounded-queue
 // backpressure, the sharded server's error discipline, and the headline
-// invariant — a campaign replayed through ingest produces analysis
-// results byte-identical to the batch kernels, at any shard count.
+// invariant — a campaign replayed through ingest is committed byte for
+// byte, at any shard count, and the committed campaign is a Dataset the
+// batch kernels answer over, mid-stream too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/stream_result.h"
+#include "analysis/common.h"
+#include "core/dataset_index.h"
 #include "core/parallel.h"
 #include "ingest/frame.h"
 #include "ingest/queue.h"
@@ -24,12 +26,8 @@
 namespace tokyonet::ingest {
 namespace {
 
-using analysis::batch_stream_result;
-using analysis::compare_stream_results;
-using analysis::StreamResult;
-
-/// A 3-device, 2-day dataset with app records, an AP association and a
-/// tethering sample — enough to touch every StreamResult field.
+/// A 3-device, 2-day dataset with app records, an AP association, a
+/// tethering sample and app-less samples carrying producer offsets.
 Dataset tiny_dataset() {
   Dataset ds = test::empty_dataset(3, 2);
   const ApId ap = test::add_ap(ds, "home-net");
@@ -319,19 +317,18 @@ TEST(IngestServerTest, LoopbackStreamCommitsAndMatchesBatch) {
   EXPECT_EQ(c.frames_rejected, 0u);
   EXPECT_EQ(c.records_committed, ds.samples.size());
   EXPECT_EQ(c.app_records_committed, ds.app_traffic.size());
-  EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
-            "");
-
   // Committed storage reassembles to the producer's exact byte stream.
-  const IngestServer::CommittedStream cs = server.collect();
-  ASSERT_EQ(cs.samples.size(), ds.samples.size());
-  EXPECT_EQ(std::memcmp(cs.samples.data(), ds.samples.data(),
-                        cs.samples.size() * sizeof(Sample)),
-            0);
-  ASSERT_EQ(cs.app_traffic.size(), ds.app_traffic.size());
-  EXPECT_EQ(std::memcmp(cs.app_traffic.data(), ds.app_traffic.data(),
-                        cs.app_traffic.size() * sizeof(AppTraffic)),
-            0);
+  EXPECT_EQ(replay_mismatch(ds, server.collect()), "");
+
+  // The committed campaign carries the Begin frame's framing (the year
+  // is pinned by the 2013 mid-stream test below).
+  std::string error;
+  const std::optional<Dataset> live = server.dataset(&error);
+  ASSERT_TRUE(live.has_value()) << error;
+  EXPECT_EQ(live->calendar.start_date(), ds.calendar.start_date());
+  EXPECT_EQ(live->num_days(), ds.num_days());
+  EXPECT_EQ(live->devices.size(), ds.devices.size());
+  EXPECT_EQ(live->aps.size(), ds.aps.size());
 }
 
 TEST(IngestServerTest, MalformedSessionNeverTakesDownTheServer) {
@@ -426,9 +423,20 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     EXPECT_NE(s->error().find("outside the announced campaign"),
               std::string::npos);
   }
+  {  // A campaign year the analysis does not know
+    IngestServer server(IngestConfig{});
+    auto s = server.connect();
+    BeginPayload info = begin_payload_for(ds);
+    info.year = 2016;
+    std::vector<std::uint8_t> bytes;
+    encode_begin(info, bytes);
+    EXPECT_FALSE(s->feed(bytes));
+    EXPECT_NE(s->error().find("campaign year 2016"), std::string::npos)
+        << s->error();
+  }
   {  // Out-of-range enum or bool bytes from a client that computes its
-     // own CRC: the stream summary indexes arrays by these fields
-     // (app_rx[category]), so the decoder must reject them.
+     // own CRC: kernels index arrays by these fields (per-category
+     // volumes), so the decoder must reject them.
     const auto poison = [](auto& field) { std::memset(&field, 0xC8, 1); };
     for (int which = 0; which < 4; ++which) {
       std::vector<Sample> samples = {ds.samples[0]};  // 2 app records
@@ -513,12 +521,20 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
   const IngestCounters c = server.counters();
   EXPECT_GE(c.batches_shed, 1u);
   EXPECT_EQ(c.records_committed + c.records_shed, ds.samples.size());
-  EXPECT_EQ(server.result().totals.n_samples, c.records_committed);
   EXPECT_EQ(c.sessions_closed, 1u);
+
+  // The survivors are still a campaign, with devices missing bins: the
+  // index takes its non-dense path.
+  std::string error;
+  const std::optional<Dataset> live = server.dataset(&error);
+  ASSERT_TRUE(live.has_value()) << error;
+  ASSERT_TRUE(live->indexed());
+  EXPECT_FALSE(live->index().dense());
+  EXPECT_EQ(live->samples.size(), c.records_committed);
 }
 
 TEST(IngestServerTest, ResultIsQueryableMidStream) {
-  // At 4 analysis threads the mid-stream result() runs its kernels on
+  // At 4 analysis threads a kernel over the mid-stream dataset() runs on
   // the core::parallel pool while the shard workers are live.
   struct ThreadCountGuard {
     ~ThreadCountGuard() { core::set_thread_count(0); }
@@ -540,22 +556,37 @@ TEST(IngestServerTest, ResultIsQueryableMidStream) {
     return c.batches_committed + c.batches_shed >= at_half.frames_accepted - 1;
   });
   std::string error;
-  const StreamResult partial = server.result(&error);
-  EXPECT_EQ(error, "");
-  EXPECT_GT(partial.totals.n_samples, 0u);
-  EXPECT_LT(partial.totals.n_samples, ds.samples.size());
-  EXPECT_EQ(partial.totals.n_samples, server.counters().records_committed);
+  const std::optional<Dataset> partial = server.dataset(&error);
+  ASSERT_TRUE(partial.has_value()) << error;
+  EXPECT_EQ(partial->year, Year::Y2013);
+  const std::size_t n = partial->samples.size();
+  EXPECT_GT(n, 0u);
+  EXPECT_LT(n, ds.samples.size());
+  EXPECT_EQ(n, server.counters().records_committed);
+
+  // The stream is in (device, bin) order, so the committed records are a
+  // prefix of the campaign: every device before the last one committed
+  // is complete, and its user-day rows equal the batch rows.
+  const std::vector<analysis::UserDay> live = analysis::user_days(*partial);
+  const std::vector<analysis::UserDay> batch = analysis::user_days(ds);
+  ASSERT_EQ(live.size(), batch.size());
+  const std::size_t complete_rows =
+      value(partial->samples[n - 1].device) *
+      static_cast<std::size_t>(ds.num_days());
+  EXPECT_GT(complete_rows, 0u);
+  EXPECT_EQ(std::memcmp(live.data(), batch.data(),
+                        complete_rows * sizeof(analysis::UserDay)),
+            0);
 
   ASSERT_TRUE(session->feed({bytes.data() + half, bytes.size() - half}));
   ASSERT_TRUE(session->finish()) << session->error();
   server.shutdown();
-  EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
-            "");
+  EXPECT_EQ(replay_mismatch(ds, server.collect()), "");
 }
 
 // Two sessions replaying the same devices commit every bin twice, so
 // each device's committed stream runs backwards in time. That is not a
-// campaign: result() comes back empty with the reason, while both
+// campaign: dataset() comes back empty with the reason, while both
 // sessions, the counters and the committed records stay intact.
 TEST(IngestServerTest, ReplayedDeviceYieldsEmptyResultWithReason) {
   const Dataset ds = tiny_dataset();
@@ -573,22 +604,18 @@ TEST(IngestServerTest, ReplayedDeviceYieldsEmptyResultWithReason) {
   EXPECT_EQ(server.collect().samples.size(), 2 * ds.samples.size());
 
   std::string error;
-  const StreamResult r = server.result(&error);
+  EXPECT_FALSE(server.dataset(&error).has_value());
   EXPECT_NE(error.find("(device, bin) ordering"), std::string::npos)
       << error;
-  EXPECT_EQ(r.totals.n_samples, 0u);
-  EXPECT_TRUE(r.user_days.empty());
-  EXPECT_TRUE(r.ap_observations.empty());
 }
 
-// --- The headline invariant: ingest == batch, byte for byte -------------
+// --- The headline invariant: ingest commits the campaign byte for byte ---
 
 class ReplayEquivalenceTest : public ::testing::TestWithParam<Year> {};
 
 TEST_P(ReplayEquivalenceTest, IncrementalMatchesBatchAtOneAndFourShards) {
   const Year year = GetParam();
   const Dataset& ds = test::campaign(year);
-  const StreamResult batch = batch_stream_result(ds);
 
   for (const int shards : {1, 4}) {
     IngestServer server(
@@ -601,19 +628,8 @@ TEST_P(ReplayEquivalenceTest, IncrementalMatchesBatchAtOneAndFourShards) {
     ASSERT_TRUE(session->finish()) << session->error();
     server.shutdown();
 
-    EXPECT_EQ(compare_stream_results(server.result(), batch), "")
+    EXPECT_EQ(replay_mismatch(ds, server.collect()), "")
         << "year " << year_number(year) << ", " << shards << " shards";
-
-    const IngestServer::CommittedStream cs = server.collect();
-    ASSERT_EQ(cs.samples.size(), ds.samples.size());
-    EXPECT_EQ(std::memcmp(cs.samples.data(), ds.samples.data(),
-                          cs.samples.size() * sizeof(Sample)),
-              0)
-        << "committed samples diverge from the producer's";
-    ASSERT_EQ(cs.app_traffic.size(), ds.app_traffic.size());
-    EXPECT_EQ(std::memcmp(cs.app_traffic.data(), ds.app_traffic.data(),
-                          cs.app_traffic.size() * sizeof(AppTraffic)),
-              0);
   }
 }
 
@@ -655,8 +671,7 @@ TEST(IngestTcpTest, ReplayOverLoopbackSocketMatchesBatch) {
   EXPECT_EQ(c.sessions_failed, 0u);
   EXPECT_EQ(c.bytes_received, stats.bytes);
   EXPECT_EQ(c.records_committed, ds.samples.size());
-  EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
-            "");
+  EXPECT_EQ(replay_mismatch(ds, server.collect()), "");
 }
 
 TEST(IngestTcpTest, GarbageConnectionFailsAloneServerSurvives) {

@@ -39,6 +39,14 @@ TOKYONET_CACHE_DIR="${tmp}/cache" "${tokyonet}" fig run table01 \
        "TOKYONET_CACHE_DIR set" >&2; exit 1; }
 echo "ok: --format json stdout parses with the campaign cache on"
 
+# A loopback ingest replay commits the campaign byte for byte.
+ingest_out="$("${tokyonet}" ingest stats --year 2013 --scale 0.05 \
+    --shards 2 2>/dev/null)" || {
+  echo "FAIL: ingest stats exited non-zero" >&2; exit 1; }
+echo "${ingest_out}" | grep -q "^verify:" || {
+  echo "FAIL: ingest stats printed no verify: line" >&2; exit 1; }
+echo "ok: ingest stats verifies the committed campaign"
+
 # 2: bad usage and malformed flags (strict numeric parsing).
 expect 2 "${tokyonet}" bogus-command
 expect 2 "${tokyonet}" fig run table01 --year 20x5
@@ -48,6 +56,9 @@ expect 2 "${tokyonet}" fig run no_such_figure
 expect 2 "${tokyonet}" fig run fig01 --year 2015  # longitudinal: no --year
 expect 2 "${tokyonet}" fig run table01 --year 2015 --format yaml
 expect 2 "${tokyonet}" report --year 2020
+# One worker thread per ingest shard: an absurd --shards is refused
+# before any server (or simulation) starts.
+expect 2 "${tokyonet}" ingest stats --year 2013 --shards 2000000000
 
 # 3: missing inputs.
 expect 3 "${tokyonet}" report --in "${tmp}/no-such-dir"

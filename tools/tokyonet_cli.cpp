@@ -37,8 +37,9 @@
 //       a sharded campaign store out of core: the figures scan shards
 //       with bounded memory, exactly as `fig run --shard-dir` does.
 //       --resident-shards K (default 1) pipelines the scan with at most
-//       K+1 shards resident — 0 restores the strict one-shard-at-a-time
-//       scan — and the tables are byte-identical at every K.
+//       K+1 shards resident — 0 keeps exactly one shard resident, the
+//       next load waiting for each scan — and the tables are
+//       byte-identical at every K.
 //
 //   tokyonet years [--scale S]
 //       Headline report for all three campaigns plus the longitudinal
@@ -66,8 +67,9 @@
 //   tokyonet ingest serve --port P [--host H] [--shards N] [--queue N]
 //                         [--shed] [--sessions N]
 //       Run a TCP ingest server until N sessions have ended, then print
-//       the counters and the stream summary (analysis/stream_result.h)
-//       of the committed records.
+//       the counters and a summary of the committed campaign
+//       (IngestServer::dataset()). --shards is capped at 256 (one
+//       worker thread each).
 //
 //   tokyonet ingest replay --year Y --port P [--host H] [--scale S]
 //                          [--seed N] [--rate R] [--batch B]
@@ -78,14 +80,14 @@
 //                         [--queue N] [--shed] [--rate R] [--batch B]
 //                         [--multiplier M] [--no-verify]
 //       Loopback replay: stream a campaign through an in-process ingest
-//       server, print throughput/counters, and verify that the stream
-//       summary of the committed records is byte-identical to the
-//       summary of the replayed campaign.
+//       server, print throughput/counters, and verify that the committed
+//       samples and app records are byte-identical to the replayed
+//       campaign's (ingest::replay_mismatch).
 //
 // Exit codes: 0 success; 1 runtime failure; 2 bad usage or malformed
 // flags; 3 load/IO failure (missing input, unreadable file); 4
-// verification failure (golden mismatch, corrupt snapshot, ingested
-// stream summary != batch).
+// verification failure (golden mismatch, corrupt snapshot, committed
+// records != replayed campaign).
 #include <malloc.h>
 
 #include <cerrno>
@@ -103,8 +105,8 @@
 #include <thread>
 #include <utility>
 
-#include "analysis/stream_result.h"
 #include "analysis/query/source.h"
+#include "analysis/ratios.h"
 #include "ingest/replay.h"
 #include "ingest/server.h"
 #include "ingest/tcp.h"
@@ -138,7 +140,7 @@ struct Args {
   std::string in_dir;
   std::string out_dir;
   std::string shard_dir;
-  // The K of DESIGN.md §5j: 0 = strict sequential shard scan, 1 =
+  // The K of DESIGN.md §5j: 0 = one shard resident at a time, 1 =
   // prefetch one shard ahead, K >= 2 = scan K shards concurrently.
   std::size_t resident_shards = 1;
 
@@ -607,14 +609,7 @@ Dataset make_dataset(const Args& args, Year year) {
   // otherwise this is a plain simulation.
   sim::CampaignCacheStatus status;
   Dataset ds = sim::cached_campaign(config, &status);
-  if (status.enabled) {
-    std::fprintf(stderr, "tokyonet-cache: %s %s\n",
-                 status.hit ? "hit" : "miss", status.path.string().c_str());
-    if (!status.detail.empty()) {
-      std::fprintf(stderr, "tokyonet-cache: note: %s\n",
-                   status.detail.c_str());
-    }
-  }
+  sim::print_cache_status(status);
   return ds;
 }
 
@@ -867,15 +862,8 @@ int cmd_snapshot_warm(const Args& args) {
     if (args.seed) config.seed = *args.seed;
     sim::CampaignCacheStatus status;
     const Dataset ds = sim::cached_campaign(config, &status);
-    if (status.enabled) {
-      std::fprintf(stderr, "tokyonet-cache: %s %s\n",
-                   status.hit ? "hit" : "miss", status.path.string().c_str());
-      if (!status.detail.empty()) {
-        std::fprintf(stderr, "tokyonet-cache: note: %s\n",
-                     status.detail.c_str());
-        rc = kExitLoad;  // save failed: cache still cold
-      }
-    }
+    sim::print_cache_status(status);
+    if (!status.detail.empty()) rc = kExitLoad;  // save failed: cache cold
     std::printf("%s: %zu devices, %zu samples\n",
                 std::string(to_string(y)).c_str(), ds.devices.size(),
                 ds.samples.size());
@@ -928,17 +916,25 @@ void print_ingest_summary(const ingest::IngestServer& server) {
               c.app_records_committed, c.batches_shed, c.records_shed);
 
   std::string error;
-  const analysis::StreamResult r = server.result(&error);
+  const std::optional<Dataset> ds = server.dataset(&error);
   if (!error.empty()) {
     std::printf("stream:   no summary: %s\n", error.c_str());
-  } else if (r.totals.n_samples > 0) {
+  } else if (ds.has_value() && !ds->samples.empty()) {
+    std::uint64_t cell_rx = 0, wifi_rx = 0;
+    for (const Sample& s : ds->samples.span()) {
+      cell_rx += s.cell_rx;
+      wifi_rx += s.wifi_rx;
+    }
+    const std::vector<analysis::UserDay> days = analysis::user_days(*ds);
+    const double ratio =
+        analysis::compute_wifi_ratios(analysis::query::InMemorySource(*ds),
+                                      days, analysis::UserClassifier(days))
+            .traffic_all.mean_ratio();
     const double gb = 1024.0 * 1024.0 * 1024.0;
-    std::printf("stream:   %" PRIu64 " samples; cellular %.2f GB down, "
+    std::printf("stream:   %zu samples; cellular %.2f GB down, "
                 "WiFi %.2f GB down; WiFi-traffic ratio %.2f\n",
-                r.totals.n_samples,
-                static_cast<double>(r.totals.cell_rx) / gb,
-                static_cast<double>(r.totals.wifi_rx) / gb,
-                r.wifi_traffic.mean_ratio());
+                ds->samples.size(), static_cast<double>(cell_rx) / gb,
+                static_cast<double>(wifi_rx) / gb, ratio);
   }
 }
 
@@ -1038,8 +1034,7 @@ int cmd_ingest_stats(const Args& args) {
   int rc = clean ? kExitOk : kExitFailure;
   const bool verify = !args.no_verify && args.multiplier <= 1 && !args.shed;
   if (verify && clean) {
-    const std::string diff = analysis::compare_stream_results(
-        server.result(), analysis::batch_stream_result(ds));
+    const std::string diff = ingest::replay_mismatch(ds, server.collect());
     if (diff.empty()) {
       std::printf("verify:   ingested == batch (byte-identical)\n");
     } else {
@@ -1050,7 +1045,15 @@ int cmd_ingest_stats(const Args& args) {
   return rc;
 }
 
+// Each ingest shard is one server-owned worker thread.
+constexpr int kMaxIngestShards = 256;
+
 int cmd_ingest(const Args& args) {
+  if (args.shards > kMaxIngestShards) {
+    std::fprintf(stderr, "--shards %d exceeds the ingest limit of %d\n",
+                 args.shards, kMaxIngestShards);
+    return kExitUsage;
+  }
   if (args.subcommand == "serve") return cmd_ingest_serve(args);
   if (args.subcommand == "replay") return cmd_ingest_replay(args);
   if (args.subcommand == "stats") return cmd_ingest_stats(args);
