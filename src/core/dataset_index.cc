@@ -110,17 +110,15 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
   // below (or the whole index is discarded).
   const ColumnWriter cols(*idx, n);
 
-  // One parallel chunked pass projects the SoA columns and verifies the
-  // Dataset contract at the same time: every sample must reference a
-  // known device, carry an in-calendar bin, reference only known APs
-  // and app-traffic rows, and follow its predecessor in (device, bin)
-  // order. Each chunk also checks the ordering edge to its predecessor
-  // chunk, so coverage is seamless. Any violation makes build() return
-  // nullptr instead of silently indexing a wrong stream. The per-sample
-  // rules match Dataset::validate() exactly, so
-  // Dataset::validate_and_index() needs no separate validate() sweep.
-  const std::size_t n_aps = ds.aps.size();
-  const std::size_t n_apps = ds.app_traffic.size();
+  // One parallel chunked pass projects the SoA columns and applies the
+  // campaign contract's per-sample rule (check_sample(), the one
+  // Dataset::validate() calls) at the same time. Each chunk also checks
+  // the ordering edge to its predecessor chunk, so coverage is seamless.
+  // Any fault makes build() return nullptr instead of silently indexing
+  // a wrong stream, so Dataset::validate_and_index() needs no separate
+  // validate() sweep.
+  const SampleBounds bounds{n_devices, n_bins, ds.aps.size(),
+                            ds.app_traffic.size()};
   constexpr std::size_t kChunk = 1 << 16;
   const std::size_t n_chunks = (n + kChunk - 1) / kChunk;
   const std::vector<char> chunk_ok =
@@ -131,16 +129,9 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
         const std::size_t end = std::min(begin + kChunk, n);
         for (std::size_t i = begin; i < end; ++i) {
           const Sample& s = ss[i];
-          if (value(s.device) >= n_devices) return 0;
-          if (std::size_t{s.bin} >= n_bins) return 0;
-          if (s.ap != kNoAp && value(s.ap) >= n_aps) return 0;
-          if (std::size_t{s.app_begin} + s.app_count > n_apps) return 0;
-          if (i > 0) {
-            const Sample& p = ss[i - 1];
-            if (value(p.device) > value(s.device) ||
-                (p.device == s.device && p.bin > s.bin)) {
-              return 0;
-            }
+          if (check_sample(s, i > 0 ? &ss[i - 1] : nullptr, bounds) !=
+              SampleFault::None) {
+            return 0;
           }
           w.set(i, s);
         }

@@ -41,13 +41,11 @@ namespace tokyonet::core {
 class DatasetIndex {
  public:
   /// Builds the index for `ds`. Returns nullptr — instead of silently
-  /// building a wrong index — when the sample stream violates the
-  /// Dataset contract: samples not sorted by (device, bin), a sample
-  /// referencing a device outside `ds.devices`, an AP outside `ds.aps`,
-  /// an app-traffic range outside `ds.app_traffic`, or a bin outside
-  /// the campaign calendar. These are exactly Dataset::validate()'s
-  /// per-sample rules, so Dataset::validate_and_index() gets full
-  /// validation from this one sweep.
+  /// building a wrong index — when a sample breaks the campaign
+  /// contract: the projection sweep calls check_sample()
+  /// (core/records.h), the rule Dataset::validate() applies, so
+  /// Dataset::validate_and_index() gets its per-sample validation from
+  /// this one sweep.
   [[nodiscard]] static std::shared_ptr<const DatasetIndex> build(
       const Dataset& ds);
 

@@ -1,12 +1,10 @@
 #include "core/records.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
 
 #include "core/dataset_index.h"
-#include "core/parallel.h"
 
 namespace tokyonet {
 
@@ -41,21 +39,67 @@ std::span<const Sample> Dataset::device_samples(DeviceId id) const {
           idx.device_end(d) - idx.device_begin(d)};
 }
 
+std::string_view to_string(SampleFault f) noexcept {
+  static constexpr std::string_view kText[] = {
+      "keeps the campaign contract",
+      "references a device outside the campaign",
+      "has a bin outside the campaign calendar",
+      "references an AP outside the campaign",
+      "references app records beyond the end of the app table",
+      "breaks (device, bin) ordering (one sample per device per bin)",
+      "carries an out-of-range wifi_state byte",
+      "carries an out-of-range tech byte",
+      "carries an out-of-range tethering byte",
+  };
+  return kText[static_cast<std::size_t>(f)];
+}
+
 std::string Dataset::validate_frame() const {
   const std::size_t n_devices = devices.size();
   const std::size_t n_aps = aps.size();
   const std::size_t n_days = static_cast<std::size_t>(calendar.num_days());
 
+  bool any_recruited = false;
   for (std::size_t i = 0; i < n_devices; ++i) {
-    if (value(devices[i].id) != i) {
+    const DeviceInfo& d = devices[i];
+    if (value(d.id) != i) {
       return "device " + std::to_string(i) + " has id " +
-             std::to_string(value(devices[i].id)) +
-             " (ids must equal their index)";
+             std::to_string(value(d.id)) + " (ids must equal their index)";
+    }
+    if (!valid(d.os) || !valid(d.carrier) || !valid_bool_byte(d.recruited)) {
+      return "device " + std::to_string(i) +
+             " carries an out-of-range os, carrier or recruited byte";
+    }
+    any_recruited = any_recruited || d.recruited;
+  }
+  for (std::size_t i = 0; i < n_aps; ++i) {
+    if (!valid(aps[i].band)) {
+      return "AP " + std::to_string(i) + " carries an out-of-range band";
     }
   }
-  if (!survey.empty() && survey.size() != n_devices) {
-    return "survey has " + std::to_string(survey.size()) +
-           " rows for " + std::to_string(n_devices) + " devices";
+  for (std::size_t i = 0; i < app_traffic.size(); ++i) {
+    if (!valid(app_traffic[i].category)) {
+      return "app record " + std::to_string(i) +
+             " carries an out-of-range category";
+    }
+  }
+  // One survey row per device, or none when nobody was recruited.
+  if (survey.size() != n_devices && (any_recruited || !survey.empty())) {
+    return "survey has " + std::to_string(survey.size()) + " rows for " +
+           std::to_string(n_devices) + " devices" +
+           (any_recruited ? " (recruited devices answer the survey)" : "");
+  }
+  for (std::size_t i = 0; i < survey.size(); ++i) {
+    const SurveyResponse& r = survey[i];
+    bool ok = valid(r.occupation);
+    for (int l = 0; l < kNumSurveyLocations; ++l) {
+      ok = ok && valid(r.connected[l]) &&
+           (r.reasons[l] >> kNumSurveyReasons) == 0;
+    }
+    if (!ok) {
+      return "survey row " + std::to_string(i) +
+             " carries an out-of-range occupation, answer or reason bit";
+    }
   }
   if (!truth.devices.empty() && truth.devices.size() != n_devices) {
     return "ground truth covers " + std::to_string(truth.devices.size()) +
@@ -81,61 +125,21 @@ std::string Dataset::validate_and_index() {
   if (std::string err = validate_frame(); !err.empty()) return err;
   if (build_index()) return {};
   std::string err = validate();
-  return err.empty() ? "samples not (device, bin)-ordered" : err;
+  return err.empty() ? "samples break the campaign contract" : err;
 }
 
 std::string Dataset::validate() const {
   if (std::string err = validate_frame(); !err.empty()) return err;
-  const std::size_t n_devices = devices.size();
-  const std::size_t n_aps = aps.size();
-  const std::size_t n_apps = app_traffic.size();
-
-  // The sample scan dominates (millions of rows at scale); split it into
-  // chunks checked in parallel. Each chunk also checks the ordering edge
-  // to its predecessor, so coverage is seamless. The first failing chunk
-  // (lowest index) wins, keeping the reported error deterministic.
   const std::span<const Sample> ss = samples.span();
-  const std::size_t n_bins = static_cast<std::size_t>(calendar.num_bins());
-  constexpr std::size_t kChunk = 1 << 16;
-  const std::size_t n_chunks = (ss.size() + kChunk - 1) / kChunk;
-  const std::vector<std::string> chunk_errors =
-      core::parallel_map(n_chunks, [&](std::size_t c) -> std::string {
-        const std::size_t begin = c * kChunk;
-        const std::size_t end = std::min(begin + kChunk, ss.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          const Sample& s = ss[i];
-          const auto row = [&] { return "sample " + std::to_string(i); };
-          if (value(s.device) >= n_devices) {
-            return row() + " references device " +
-                   std::to_string(value(s.device)) + " of " +
-                   std::to_string(n_devices);
-          }
-          if (static_cast<std::size_t>(s.bin) >= n_bins) {
-            return row() + " has bin " + std::to_string(s.bin) +
-                   " outside the " + std::to_string(n_bins) +
-                   "-bin campaign";
-          }
-          if (s.ap != kNoAp && value(s.ap) >= n_aps) {
-            return row() + " references AP " + std::to_string(value(s.ap)) +
-                   " of " + std::to_string(n_aps);
-          }
-          if (std::size_t{s.app_begin} + s.app_count > n_apps) {
-            return row() + " app range [" + std::to_string(s.app_begin) +
-                   ", +" + std::to_string(s.app_count) + ") exceeds " +
-                   std::to_string(n_apps) + " app records";
-          }
-          if (i > 0) {
-            const Sample& prev = ss[i - 1];
-            if (value(prev.device) > value(s.device) ||
-                (prev.device == s.device && prev.bin > s.bin)) {
-              return row() + " breaks (device, bin) ordering";
-            }
-          }
-        }
-        return {};
-      });
-  for (const std::string& err : chunk_errors) {
-    if (!err.empty()) return err;
+  const SampleBounds bounds{
+      devices.size(), static_cast<std::size_t>(calendar.num_bins()),
+      aps.size(), app_traffic.size()};
+  for (std::size_t i = 0; i < ss.size(); ++i) {
+    const SampleFault f =
+        check_sample(ss[i], i > 0 ? &ss[i - 1] : nullptr, bounds);
+    if (f != SampleFault::None) {
+      return "sample " + std::to_string(i) + " " + std::string(to_string(f));
+    }
   }
   return {};
 }

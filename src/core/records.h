@@ -18,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/clock.h"
@@ -53,7 +54,8 @@ struct DeviceInfo {
   Os os = Os::Android;
   Carrier carrier = Carrier::CarrierA;
   /// True for recruited participants (who also answer the survey);
-  /// false for organic app-store installs (§2).
+  /// false for organic app-store installs (§2). A campaign with any
+  /// recruited device carries a survey row per device.
   bool recruited = true;
   /// Explicit padding, always zero (serialized raw — see AppTraffic).
   std::uint8_t reserved = 0;
@@ -144,6 +146,48 @@ struct SurveyResponse {
   }
 };
 
+// --- The campaign contract (DESIGN.md §5b) -----------------------------
+// Each rule is written once: enum ranges and bool bytes in core/types.h,
+// the per-sample rule in check_sample(), the table rules in
+// Dataset::validate_frame(); Dataset::validate_and_index() applies all.
+
+/// Why a sample breaks the campaign contract; to_string() phrases it to
+/// follow "sample N ".
+enum class SampleFault : std::uint8_t {
+  None, Device, Bin, Ap, AppRange, Order, WifiState, Tech, Tethering,
+};
+[[nodiscard]] std::string_view to_string(SampleFault f) noexcept;
+
+/// The universe a sample's references fall inside.
+struct SampleBounds {
+  std::size_t devices, bins, aps, app_records;
+};
+
+/// The one per-sample rule: a known device, AP and calendar bin; app
+/// records inside the table (an app-less sample's app_begin references
+/// nothing, ingest/frame.h); strictly after `prev` (null for the first
+/// sample) in (device, bin) order; in-range wifi_state, tech and
+/// tethering bytes.
+[[nodiscard]] inline SampleFault check_sample(const Sample& s,
+                                              const Sample* prev,
+                                              const SampleBounds& b) noexcept {
+  if (value(s.device) >= b.devices) return SampleFault::Device;
+  if (std::size_t{s.bin} >= b.bins) return SampleFault::Bin;
+  if (s.ap != kNoAp && value(s.ap) >= b.aps) return SampleFault::Ap;
+  if (s.app_count > 0 &&
+      std::size_t{s.app_begin} + s.app_count > b.app_records) {
+    return SampleFault::AppRange;
+  }
+  if (prev != nullptr && (value(prev->device) > value(s.device) ||
+                          (prev->device == s.device && prev->bin >= s.bin))) {
+    return SampleFault::Order;
+  }
+  if (!valid(s.wifi_state)) return SampleFault::WifiState;
+  if (!valid(s.tech)) return SampleFault::Tech;
+  if (!valid_bool_byte(s.tethering)) return SampleFault::Tethering;
+  return SampleFault::None;
+}
+
 /// Broad behavioural archetype of a simulated user (§3.3.1 Fig 5).
 enum class UserArchetype : std::uint8_t {
   CellularIntensive = 0,  // never uses WiFi (no AP / no configuration)
@@ -231,22 +275,19 @@ class Dataset {
   /// `samples` array.
   void adopt_index(std::shared_ptr<const core::DatasetIndex> idx);
 
-  /// Release-mode structural validation (the promoted form of the debug
-  /// asserts in build_index()/device_samples()): checks device/AP/app
-  /// references, (device, bin) ordering, bin bounds against the
-  /// calendar, and ground-truth array shapes. Returns an empty string
-  /// when the dataset is sound, else a description of the first
-  /// problem. The sample scan runs on the core/parallel pool.
+  /// Checks the whole campaign contract (see above): the table rules,
+  /// then check_sample() over every sample, in order. Returns an empty
+  /// string when the dataset is sound, else a description of the first
+  /// fault. Loaders take validate_and_index()'s parallel path instead.
   [[nodiscard]] std::string validate() const;
 
   /// The one validate-and-index step of every loader (snapshot, shard,
-  /// CSV, ingest): the non-sample shape checks, then build_index() —
-  /// whose projection pass enforces every per-sample rule validate()
-  /// does, so the sample array is swept once — and, only when the build
-  /// rejects the stream, validate() to name the first violation.
-  /// Returns an empty string once the dataset is sound and indexed,
-  /// else a description of the first problem (the dataset is left
-  /// unindexed).
+  /// CSV, ingest): the table rules, then build_index(), whose projection
+  /// sweep applies the same check_sample(), so the sample array is swept
+  /// once; validate() runs only when the build rejects the stream, to
+  /// name the first fault. Returns an empty string once the dataset is
+  /// sound and indexed, else a description of the first fault (the
+  /// dataset is left unindexed).
   [[nodiscard]] std::string validate_and_index();
 
   /// True once build_index() has succeeded and matches the current
@@ -264,12 +305,15 @@ class Dataset {
 
   /// Per-application records of one sample.
   [[nodiscard]] std::span<const AppTraffic> apps_of(const Sample& s) const {
+    if (s.app_count == 0) return {};  // app_begin references nothing
     return {app_traffic.data() + s.app_begin, s.app_count};
   }
 
  private:
-  /// The non-sample half of validate(): device-id/survey/ground-truth
-  /// shape checks only, O(devices + aps).
+  /// The table rules of the campaign contract: device ids, OS, carrier
+  /// and recruited byte; AP band; app-record categories; survey
+  /// answers, reason bits and shape; ground-truth shapes. One linear
+  /// pass over each table.
   [[nodiscard]] std::string validate_frame() const;
 
   std::shared_ptr<const core::DatasetIndex> index_;

@@ -3,9 +3,13 @@
 // measurement software (IMC'15 §2): device OS, network interface and
 // radio-access technology, WiFi band/state, application category, and the
 // user-facing survey vocabulary (occupation, AP locations).
+// Each enum a campaign file or the ingest wire carries has its range
+// defined once, by the valid() next to it (the campaign contract,
+// core/records.h): kernels index arrays by these enums.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace tokyonet {
@@ -27,10 +31,14 @@ inline constexpr Year kAllYears[] = {Year::Y2013, Year::Y2014, Year::Y2015};
 /// OS: Android reports per-app traffic and scan results; iOS reports only
 /// the associated AP and aggregate counters (§2).
 enum class Os : std::uint8_t { Android = 0, Ios = 1 };
+[[nodiscard]] constexpr bool valid(Os v) noexcept { return v <= Os::Ios; }
 
 /// Cellular radio-access technology in use during a sample.
 /// `None` means the cellular interface carried no traffic in the bin.
 enum class CellTech : std::uint8_t { None = 0, ThreeG = 1, Lte = 2 };
+[[nodiscard]] constexpr bool valid(CellTech v) noexcept {
+  return v <= CellTech::Lte;
+}
 
 /// Network interface that carried traffic.
 enum class Iface : std::uint8_t { Cellular = 0, Wifi = 1 };
@@ -40,9 +48,13 @@ enum class Iface : std::uint8_t { Cellular = 0, Wifi = 1 };
 ///  - OnUnassociated:  WiFi on but not associated ("WiFi-available users"),
 ///  - Associated:      associated with an AP ("WiFi users").
 enum class WifiState : std::uint8_t { Off = 0, OnUnassociated = 1, Associated = 2 };
+[[nodiscard]] constexpr bool valid(WifiState v) noexcept {
+  return v <= WifiState::Associated;
+}
 
 /// WiFi frequency band.
 enum class Band : std::uint8_t { B24GHz = 0, B5GHz = 1 };
+[[nodiscard]] constexpr bool valid(Band v) noexcept { return v <= Band::B5GHz; }
 
 /// Ground-truth access-point placement category. The analysis layer never
 /// reads this directly — it infers a location class from association
@@ -63,6 +75,9 @@ enum class ApClass : std::uint8_t { Home = 0, Public = 1, Other = 2 };
 /// recruiting, §2). Names are anonymized to A/B/C as in the study.
 enum class Carrier : std::uint8_t { CarrierA = 0, CarrierB = 1, CarrierC = 2 };
 inline constexpr int kNumCarriers = 3;
+[[nodiscard]] constexpr bool valid(Carrier v) noexcept {
+  return static_cast<int>(v) < kNumCarriers;
+}
 
 /// Google Play application categories used by the paper's breakdown
 /// (§3.6, Tables 6/7), plus `OsUpdate` for the iOS 8.2 event (§3.7) and
@@ -99,6 +114,9 @@ enum class AppCategory : std::uint8_t {
 };
 inline constexpr int kNumAppCategories =
     static_cast<int>(AppCategory::Unknown) + 1;
+[[nodiscard]] constexpr bool valid(AppCategory v) noexcept {
+  return static_cast<int>(v) < kNumAppCategories;
+}
 
 /// Occupations from the user survey (Table 2).
 enum class Occupation : std::uint8_t {
@@ -114,6 +132,9 @@ enum class Occupation : std::uint8_t {
   Other,
 };
 inline constexpr int kNumOccupations = static_cast<int>(Occupation::Other) + 1;
+[[nodiscard]] constexpr bool valid(Occupation v) noexcept {
+  return static_cast<int>(v) < kNumOccupations;
+}
 
 /// Locations the post-campaign survey asks about (Tables 8/9).
 enum class SurveyLocation : std::uint8_t { Home = 0, Office = 1, Public = 2 };
@@ -121,6 +142,9 @@ inline constexpr int kNumSurveyLocations = 3;
 
 /// Answers to "did you connect to WiFi APs at <location>?" (Table 8).
 enum class SurveyYesNo : std::uint8_t { Yes = 0, No = 1, NotAnswered = 2 };
+[[nodiscard]] constexpr bool valid(SurveyYesNo v) noexcept {
+  return v <= SurveyYesNo::NotAnswered;
+}
 
 /// Reasons for WiFi unavailability (Table 9; multiple answers allowed).
 enum class SurveyReason : std::uint8_t {
@@ -135,6 +159,15 @@ enum class SurveyReason : std::uint8_t {
 };
 inline constexpr int kNumSurveyReasons =
     static_cast<int>(SurveyReason::OtherReason) + 1;
+
+/// The bool-byte rule for bools copied in raw from files and the wire
+/// (Sample::tethering, DeviceInfo::recruited): the byte is 0 or 1. It
+/// reads the byte, as loading a bool holding anything else is undefined.
+[[nodiscard]] inline bool valid_bool_byte(const bool& b) noexcept {
+  std::uint8_t v = 0;
+  std::memcpy(&v, &b, 1);
+  return v <= 1;
+}
 
 // --- Strong identifier types -------------------------------------------
 

@@ -1,6 +1,7 @@
 #include "ingest/frame.h"
 
 #include <cstring>
+#include <limits>
 
 #include "core/hash.h"
 
@@ -12,14 +13,6 @@ constexpr std::uint64_t kFrameHashSeed = 0x746B796F696E6731ull;
 [[nodiscard]] std::uint64_t payload_crc(const std::uint8_t* data,
                                         std::size_t n) noexcept {
   return core::hash_bytes(data, n, kFrameHashSeed);
-}
-
-/// The stored byte of a bool decoded from the wire (loading a bool that
-/// holds anything but 0 or 1 is undefined).
-[[nodiscard]] std::uint8_t raw_byte(const bool& b) noexcept {
-  std::uint8_t v = 0;
-  std::memcpy(&v, &b, 1);
-  return v;
 }
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* data,
@@ -170,6 +163,9 @@ FrameParser::Status FrameParser::next(Frame& out) {
                   payload + std::size_t{h.n_samples} * sizeof(Sample),
                   std::size_t{h.n_app} * sizeof(AppTraffic));
     }
+    // The per-sample rule against what a frame alone knows, its app
+    // records; the session checks the announced universe (server.cc).
+    constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
     for (std::size_t i = 0; i < samples_.size(); ++i) {
       const Sample& s = samples_[i];
       if (s.device != out.device) {
@@ -178,22 +174,15 @@ FrameParser::Status FrameParser::next(Frame& out) {
                     " inside a frame for device " +
                     std::to_string(h.device));
       }
-      if (s.app_count > 0 &&
-          std::uint64_t{s.app_begin} + s.app_count > h.n_app) {
-        return fail("sample " + std::to_string(i) +
-                    " references app records beyond the frame");
-      }
-      // Analysis indexes arrays by these enums: an out-of-range byte
-      // would be an out-of-bounds access downstream, not a bad value.
-      if (s.wifi_state > WifiState::Associated || s.tech > CellTech::Lte ||
-          raw_byte(s.tethering) > 1) {
-        return fail("sample " + std::to_string(i) +
-                    " carries an out-of-range wifi_state, tech or "
-                    "tethering byte");
+      const SampleFault f = check_sample(
+          s, i > 0 ? &samples_[i - 1] : nullptr, {kAny, kAny, kAny, h.n_app});
+      if (f != SampleFault::None) {
+        return fail("sample " + std::to_string(i) + " " +
+                    std::string(to_string(f)));
       }
     }
     for (std::size_t i = 0; i < app_.size(); ++i) {
-      if (static_cast<int>(app_[i].category) >= kNumAppCategories) {
+      if (!valid(app_[i].category)) {
         return fail("app record " + std::to_string(i) +
                     " carries an out-of-range category");
       }

@@ -20,8 +20,9 @@
 //
 // The payload CRC uses core::hash_bytes, the same 64-bit hash snapshots
 // use for sections. Every structural rule a decoder enforces (magic,
-// version, type, length arithmetic, CRC, app references, per-frame
-// device consistency, enum and bool bytes in range) fails as a clean
+// version, type, length arithmetic, CRC, per-frame device consistency,
+// and the campaign contract's per-sample rule — app references, sample
+// order, enum and bool bytes in range, core/records.h) fails as a clean
 // per-connection error — a malformed frame can never take the server
 // down (ingest/server.h).
 #pragma once

@@ -189,16 +189,13 @@ std::optional<Dataset> IngestServer::dataset(std::string* error) const {
   ds.devices.resize(info->n_devices);
   for (std::uint32_t d = 0; d < info->n_devices; ++d) {
     ds.devices[d].id = DeviceId{d};
+    // The wire carries no survey, so no device counts as recruited (an
+    // empty survey is then within the campaign contract).
+    ds.devices[d].recruited = false;
   }
   ds.aps.resize(info->n_aps);
   {
-    CommittedStream committed = collect();
-    for (Sample& s : committed.samples) {
-      // An app-less sample keeps its producer-side offset (frame.h),
-      // which can point past the records committed so far when shards
-      // lag or batches were shed; give it an offset inside the array.
-      if (s.app_count == 0) s.app_begin = 0;
-    }
+    const CommittedStream committed = collect();
     ds.samples.insert(ds.samples.cend(), committed.samples.begin(),
                       committed.samples.end());
     ds.app_traffic.insert(ds.app_traffic.cend(),
@@ -327,20 +324,18 @@ bool IngestServer::Session::on_frame(const Frame& frame) {
                       " outside the announced universe of " +
                       std::to_string(campaign_.n_devices));
       }
-      const std::uint32_t num_bins = campaign_.num_days * kBinsPerDay;
+      // The per-sample rule again, now against the announced universe.
+      const SampleBounds universe{
+          campaign_.n_devices, std::size_t{campaign_.num_days} * kBinsPerDay,
+          campaign_.n_aps, frame.app.size()};
       for (std::size_t i = 0; i < frame.samples.size(); ++i) {
-        const Sample& s = frame.samples[i];
-        if (s.bin >= num_bins) {
-          return reject("sample " + std::to_string(i) + " at bin " +
-                        std::to_string(s.bin) +
-                        " outside the announced campaign of " +
-                        std::to_string(num_bins) + " bins");
-        }
-        if (s.ap != kNoAp && value(s.ap) >= campaign_.n_aps) {
+        const SampleFault f = check_sample(
+            frame.samples[i], i > 0 ? &frame.samples[i - 1] : nullptr,
+            universe);
+        if (f != SampleFault::None) {
           return reject("sample " + std::to_string(i) +
-                        " references AP " + std::to_string(value(s.ap)) +
-                        " outside the announced universe of " +
-                        std::to_string(campaign_.n_aps));
+                        " lies outside the announced campaign: it " +
+                        std::string(to_string(f)));
         }
       }
       Batch batch;

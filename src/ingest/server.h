@@ -127,13 +127,14 @@ class IngestServer {
 
   /// The records committed so far as a Dataset framed by the Begin
   /// frame (year, calendar, device ids, AP universe size), with its index
-  /// built. Safe mid-stream: it reads one consistent collect()
-  /// snapshot, so each call copies and indexes every record committed
-  /// so far. nullopt before the first Begin frame. Also nullopt when
-  /// the committed records are not a campaign in (device, bin) order —
-  /// two sessions replayed the same device, or a producer sent a
-  /// device's bins out of order; `error`, when given, then receives the
-  /// reason.
+  /// built. The wire carries no survey, so every device is marked not
+  /// recruited and the survey tables render zero respondents. Safe
+  /// mid-stream: it reads one consistent collect() snapshot, so each
+  /// call copies and indexes every record committed so far. nullopt
+  /// before the first Begin frame. Also nullopt when the committed
+  /// records are not a campaign in (device, bin) order — two sessions
+  /// replayed the same device, or a producer sent a device's bins out
+  /// of order; `error`, when given, then receives the reason.
   [[nodiscard]] std::optional<Dataset> dataset(
       std::string* error = nullptr) const;
 

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
@@ -59,14 +60,29 @@ struct TcpIngestListener::Impl {
         if (errno == EINTR) continue;
         return;  // listen socket closed by stop()
       }
-      std::lock_guard<std::mutex> lk(mu);
-      if (stopping) {
-        ::close(fd);
-        return;
+      // Join the connection threads that have finished serving, so the
+      // listener holds one thread per live connection, not one stack
+      // per connection ever accepted.
+      std::vector<std::thread> done;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        if (stopping) {
+          ::close(fd);
+          return;
+        }
+        for (const std::thread::id id : finished) {
+          const auto it = std::find_if(
+              conn_threads.begin(), conn_threads.end(),
+              [&](const std::thread& t) { return t.get_id() == id; });
+          done.push_back(std::move(*it));
+          conn_threads.erase(it);
+        }
+        finished.clear();
+        ++accepted;
+        live_fds.push_back(fd);
+        conn_threads.emplace_back([this, fd] { serve_connection(fd); });
       }
-      ++accepted;
-      live_fds.push_back(fd);
-      conn_threads.emplace_back([this, fd] { serve_connection(fd); });
+      for (std::thread& t : done) t.join();
     }
   }
 
@@ -97,6 +113,7 @@ struct TcpIngestListener::Impl {
           break;
         }
       }
+      finished.push_back(std::this_thread::get_id());
     }
     ::close(fd);
   }
@@ -111,6 +128,9 @@ struct TcpIngestListener::Impl {
   std::uint64_t accepted = 0;
   std::vector<int> live_fds;
   std::vector<std::thread> conn_threads;
+  /// Connection threads that have served their connection and await a
+  /// join (by the accept loop, or by stop()).
+  std::vector<std::thread::id> finished;
 };
 
 TcpIngestListener::TcpIngestListener(IngestServer& server)

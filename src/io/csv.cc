@@ -63,13 +63,13 @@ template <typename T>
   return ec == std::errc{} && ptr == end;
 }
 
-/// Parses an enum column: the value must name one of the enumerators
-/// [0, count). Analysis indexes arrays by these enums, so an
+/// Parses an enum column: the value must pass the enum's valid()
+/// (core/types.h). Analysis indexes arrays by these enums, so an
 /// out-of-range value is a malformed row, not a bad value.
 template <typename E>
-[[nodiscard]] bool parse_enum(const std::string& s, E& out, int count) {
-  int v = 0;
-  if (!parse_int(s, v) || v < 0 || v >= count) return false;
+[[nodiscard]] bool parse_enum(const std::string& s, E& out) {
+  std::uint8_t v = 0;
+  if (!parse_int(s, v) || !valid(static_cast<E>(v))) return false;
   out = static_cast<E>(v);
   return true;
 }
@@ -208,8 +208,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       int recruited = 0;
       DeviceInfo dev;
       if (cols.size() != 4 || !parse_int(cols[0], id) ||
-          !parse_enum(cols[1], dev.os, static_cast<int>(Os::Ios) + 1) ||
-          !parse_enum(cols[2], dev.carrier, kNumCarriers) ||
+          !parse_enum(cols[1], dev.os) || !parse_enum(cols[2], dev.carrier) ||
           !parse_int(cols[3], recruited) || id != out.devices.size()) {
         result.error = "devices.csv: malformed row: " + line;
         return result;
@@ -230,7 +229,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       ApInfo ap;
       if (cols.size() != 5 || !parse_int(cols[0], id) ||
           !parse_int(cols[1], ap.bssid, 16) ||
-          !parse_enum(cols[3], ap.band, static_cast<int>(Band::B5GHz) + 1) ||
+          !parse_enum(cols[3], ap.band) ||
           !parse_int(cols[4], channel) || id != out.aps.size()) {
         result.error = "aps.csv: malformed row: " + line;
         return result;
@@ -248,7 +247,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       split(line, cols);
       AppTraffic at;
       if (cols.size() != 3 ||
-          !parse_enum(cols[0], at.category, kNumAppCategories) ||
+          !parse_enum(cols[0], at.category) ||
           !parse_int(cols[1], at.rx_bytes) ||
           !parse_int(cols[2], at.tx_bytes)) {
         result.error = "apps.csv: malformed row: " + line;
@@ -271,10 +270,8 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
           !parse_int(cols[1], s.bin) || !parse_int(cols[2], s.geo_cell) ||
           !parse_int(cols[3], s.cell_rx) || !parse_int(cols[4], s.cell_tx) ||
           !parse_int(cols[5], s.wifi_rx) || !parse_int(cols[6], s.wifi_tx) ||
-          !parse_int(cols[7], ap) ||
-          !parse_enum(cols[8], s.tech, static_cast<int>(CellTech::Lte) + 1) ||
-          !parse_enum(cols[9], s.wifi_state,
-                      static_cast<int>(WifiState::Associated) + 1) ||
+          !parse_int(cols[7], ap) || !parse_enum(cols[8], s.tech) ||
+          !parse_enum(cols[9], s.wifi_state) ||
           !parse_int(cols[10], rssi) ||
           !parse_int(cols[11], battery) || !parse_int(cols[12], tether) ||
           !parse_int(cols[13], u8tmp[0]) || !parse_int(cols[14], u8tmp[1]) ||
@@ -293,14 +290,6 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       s.scan_pub5_all = static_cast<std::uint8_t>(u8tmp[2]);
       s.scan_pub5_strong = static_cast<std::uint8_t>(u8tmp[3]);
       s.app_count = static_cast<std::uint8_t>(u8tmp[4]);
-      if (!out.samples.empty()) {
-        const Sample& prev = out.samples.back();
-        if (value(prev.device) > value(s.device) ||
-            (prev.device == s.device && prev.bin >= s.bin)) {
-          result.error = "samples.csv: rows not sorted by (device, bin)";
-          return result;
-        }
-      }
       out.samples.push_back(s);
     }
   }
@@ -312,13 +301,12 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
     while (read_line(f.get(), line)) {
       split(line, cols);
       std::size_t id = 0;
-      constexpr int kYesNo = static_cast<int>(SurveyYesNo::NotAnswered) + 1;
       SurveyResponse r;
       if (cols.size() != 8 || !parse_int(cols[0], id) ||
-          !parse_enum(cols[1], r.occupation, kNumOccupations) ||
-          !parse_enum(cols[2], r.connected[0], kYesNo) ||
-          !parse_enum(cols[3], r.connected[1], kYesNo) ||
-          !parse_enum(cols[4], r.connected[2], kYesNo) ||
+          !parse_enum(cols[1], r.occupation) ||
+          !parse_enum(cols[2], r.connected[0]) ||
+          !parse_enum(cols[3], r.connected[1]) ||
+          !parse_enum(cols[4], r.connected[2]) ||
           !parse_int(cols[5], r.reasons[0]) ||
           !parse_int(cols[6], r.reasons[1]) ||
           !parse_int(cols[7], r.reasons[2]) || id >= out.devices.size()) {
@@ -333,7 +321,8 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
   // the analysis layer (which never reads them) stays safe to call.
   out.truth.devices.resize(out.devices.size());
   out.truth.aps.resize(out.aps.size());
-  // Dangling device/AP/app references surface here.
+  // Dangling references, unordered samples and the table rules surface
+  // here (the campaign contract, core/records.h).
   if (const std::string invalid = out.validate_and_index(); !invalid.empty()) {
     result.error = dir.string() + ": invalid dataset: " + invalid;
     return result;

@@ -470,19 +470,6 @@ namespace {
     }
     prev_end = table[s].offset + table[s].bytes;
   }
-  if (header.counts[kSecSurvey] != 0 &&
-      header.counts[kSecSurvey] != header.counts[kSecDevices]) {
-    return fail("survey row count does not match the device count");
-  }
-  if (header.counts[kSecTruthDevices] != 0 &&
-      header.counts[kSecTruthDevices] != header.counts[kSecDevices]) {
-    return fail("ground-truth device count does not match the device count");
-  }
-  if (header.counts[kSecTruthAps] != 0 &&
-      header.counts[kSecTruthAps] != header.counts[kSecApFixed]) {
-    return fail("ground-truth AP count does not match the AP count");
-  }
-
   info.version = header.version;
   info.year = static_cast<int>(header.year);
   info.start = Date{header.start_year, static_cast<int>(header.start_month),

@@ -20,7 +20,13 @@
 // read. Either way the file is fully verified first — magic, version,
 // record sizes, section bounds, checksums, then
 // Dataset::validate_and_index() — so a truncated or corrupted snapshot
-// is a clean error, never UB.
+// is a clean error, never UB. The checksums only prove the bytes are the
+// ones the writer sealed; what those bytes may say is the campaign
+// contract (core/records.h: enum ranges, bool bytes, sample references
+// and order, survey shape), which the snapshot and shard loaders do not
+// restate: they end in validate_and_index() and inherit every rule. A
+// sealed file whose records break the contract fails with
+// "invalid dataset: <first fault>".
 //
 // The format uses native (x86-64) field layout; the header records the
 // record sizes and a version so an incompatible reader rejects the file
@@ -91,7 +97,9 @@ struct SnapshotLoadOptions {
   /// When false, skip mmap and always read into owned memory.
   bool allow_mmap = true;
   /// When true, skip Dataset::validate_and_index() after the
-  /// checksum-verified read. For snapshots that are not self-contained —
+  /// checksum-verified read; the dataset is then unchecked against the
+  /// campaign contract until the caller runs it. For snapshots that are
+  /// not self-contained —
   /// a shard file stores no AP universe, so its samples reference APs
   /// the file does not carry — the caller installs the missing tables
   /// and then runs validate_and_index() itself (io/shard_store.cc does).

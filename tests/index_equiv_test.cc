@@ -10,7 +10,9 @@
 
 #include <array>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/aggregate.h"
@@ -434,6 +436,32 @@ TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
     Dataset ds = empty_dataset(1, 1);
     add_sample(ds, 0, static_cast<TimeBin>(kBinsPerDay));  // past day 0
     EXPECT_FALSE(ds.build_index());
+  }
+  {
+    Dataset ds = empty_dataset(1, 1);
+    add_sample(ds, 0, 3);
+    add_sample(ds, 0, 3);  // one sample per device per bin
+    EXPECT_FALSE(ds.build_index());
+    EXPECT_NE(ds.validate().find("(device, bin) ordering"), std::string::npos);
+  }
+  // Out-of-range enum and bool bytes in a sample or in an app record
+  // (written raw, as a file or the wire would carry them). The app
+  // category is a table rule, so only the sample bytes stop build_index().
+  for (int which = 0; which < 4; ++which) {
+    Dataset ds = empty_dataset(1, 1);
+    ds.app_traffic.push_back({});
+    Sample& s = add_sample(ds, 0, 0);
+    s.app_count = 1;
+    ASSERT_TRUE(ds.validate().empty());
+    if (which == 0) std::memset(&s.wifi_state, 200, 1);
+    if (which == 1) std::memset(&s.tech, 200, 1);
+    if (which == 2) std::memset(&s.tethering, 2, 1);
+    if (which == 3) std::memset(&ds.app_traffic[0].category, 200, 1);
+    if (which < 3) EXPECT_FALSE(ds.build_index()) << "case " << which;
+    const std::string err = ds.validate_and_index();
+    EXPECT_NE(err.find("out-of-range"), std::string::npos)
+        << "case " << which << ": " << err;
+    EXPECT_FALSE(ds.indexed()) << "case " << which;
   }
   {
     Dataset ds = empty_dataset(2, 1);

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,9 @@
 #include "ingest/replay.h"
 #include "ingest/server.h"
 #include "ingest/tcp.h"
+#include "report/registry.h"
+#include "report/runner.h"
+#include "report/table.h"
 #include "testutil.h"
 
 namespace tokyonet::ingest {
@@ -329,6 +334,46 @@ TEST(IngestServerTest, LoopbackStreamCommitsAndMatchesBatch) {
   EXPECT_EQ(live->num_days(), ds.num_days());
   EXPECT_EQ(live->devices.size(), ds.devices.size());
   EXPECT_EQ(live->aps.size(), ds.aps.size());
+}
+
+// The wire carries no survey, so dataset() marks every device as not
+// recruited: the survey tables render zero respondents over live data
+// instead of indexing survey rows the campaign does not have.
+TEST(IngestServerTest, SurveyTablesRenderZeroRespondentsOverLiveData) {
+  const Dataset ds = tiny_dataset();
+  IngestServer server(IngestConfig{});
+  auto session = server.connect();
+  SessionSink sink(*session);
+  ASSERT_TRUE(replay_dataset(ds, {}, sink));
+  ASSERT_TRUE(session->finish()) << session->error();
+  server.shutdown();
+
+  std::string error;
+  std::optional<Dataset> live = server.dataset(&error);
+  ASSERT_TRUE(live.has_value()) << error;
+  EXPECT_TRUE(live->survey.empty());
+  const Year year = live->year;
+  report::Runner runner;
+  runner.adopt(year, std::move(*live));
+  for (const char* id : {"table02", "table08", "table09"}) {
+    const report::FigureSpec* spec =
+        report::FigureRegistry::instance().find(id);
+    ASSERT_NE(spec, nullptr) << id;
+    const report::Table t = runner.run(*spec, year);
+    ASSERT_GT(t.num_rows(), 0u) << id;
+    for (const auto& row : t.rows()) {
+      for (const report::Value& v : row) {
+        if (v.kind() == report::Value::Kind::Real) {
+          EXPECT_EQ(v.as_real(), 0.0) << id;
+        }
+      }
+    }
+    for (const std::string& note : t.notes) {
+      if (note.find("respondents") != std::string::npos) {
+        EXPECT_TRUE(note.ends_with(": 0")) << id << ": " << note;
+      }
+    }
+  }
 }
 
 TEST(IngestServerTest, MalformedSessionNeverTakesDownTheServer) {
@@ -706,6 +751,64 @@ TEST(IngestTcpTest, GarbageConnectionFailsAloneServerSurvives) {
   EXPECT_EQ(c.sessions_failed, 1u);
   EXPECT_EQ(c.sessions_closed, 1u);
   EXPECT_EQ(c.records_committed, ds.samples.size());
+}
+
+/// One "Key: <number>" line of /proc/self/status (-1 when absent).
+long proc_status(const std::string& key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + ":", 0) == 0) {
+      return std::stol(line.substr(key.size() + 1));
+    }
+  }
+  return -1;
+}
+
+// A long-running listener joins each connection thread once it has
+// served its connection. An exited but unjoined thread keeps its stack
+// mapped, so without the reaping every short connection would add one
+// stack to the process: the thread count and the address-space size
+// must not grow with the number of connections served.
+TEST(IngestTcpTest, FinishedConnectionThreadsAreReaped) {
+  if (!tcp_supported()) {
+    GTEST_SKIP() << "no POSIX socket support on this platform";
+  }
+  if (proc_status("Threads") < 0 || proc_status("VmSize") < 0) {
+    GTEST_SKIP() << "no /proc/self/status on this platform";
+  }
+  IngestServer server({.shards = 1});
+  TcpIngestListener listener(server);
+  std::string error;
+  ASSERT_TRUE(listener.start("127.0.0.1", 0, &error)) << error;
+
+  constexpr int kConnections = 32;
+  long threads_after_first = 0, vm_after_first = 0;
+  for (int i = 0; i < kConnections; ++i) {
+    TcpClientSink client;
+    ASSERT_TRUE(client.connect("127.0.0.1", listener.port(), &error))
+        << error;
+    const std::uint8_t junk[8] = {};
+    (void)client.write(junk);
+    client.close();  // returns once the server closed its side
+    wait_for([&] {
+      return server.counters().sessions_failed >=
+             static_cast<std::uint64_t>(i + 1);
+    });
+    if (i == 0) {
+      threads_after_first = proc_status("Threads");
+      vm_after_first = proc_status("VmSize");
+    }
+  }
+  EXPECT_EQ(listener.connections(), static_cast<std::uint64_t>(kConnections));
+  // At most the last connection's thread is still unjoined.
+  EXPECT_LE(proc_status("Threads"), threads_after_first + 1);
+  // Each leaked stack would map several MiB (8 MiB by default); allow
+  // two stacks of slack for allocator noise.
+  EXPECT_LT(proc_status("VmSize") - vm_after_first, 16L * 1024)
+      << "kB of address space gained over " << kConnections - 1
+      << " connections";
+  listener.stop();
 }
 
 }  // namespace

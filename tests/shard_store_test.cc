@@ -404,6 +404,39 @@ TEST_F(BrokenStore, ShardPayloadCorruptionCaughtOnLoad) {
   EXPECT_NE(r.error.find("checksum"), std::string::npos) << r.error;
 }
 
+// A shard rewritten with an out-of-range wifi_state and re-sealed (file
+// checksums and the manifest entry both match) passes open(); the shard
+// loader ends in validate_and_index(), so the campaign contract still
+// rejects it on load.
+TEST_F(BrokenStore, SealedContractViolationRejectedOnLoad) {
+  const fs::path shard = dir / "shard-0001.tksnap";
+  io::SnapshotLoadOptions raw;
+  raw.defer_validate = true;  // a shard file alone has no AP universe
+  Dataset ds;
+  ASSERT_TRUE(io::load_snapshot(shard, ds, raw).ok());
+  ASSERT_FALSE(ds.samples.empty());
+  std::memset(&ds.samples[0].wifi_state, 200, 1);
+
+  io::ShardManifest m;
+  ASSERT_TRUE(io::read_shard_manifest(dir, m).ok());
+  ASSERT_TRUE(io::save_snapshot(ds, shard, m.scenario_hash).ok());
+  io::SnapshotInfo info;
+  ASSERT_TRUE(io::read_snapshot_info(shard, info).ok());
+  m.shards[1].file_bytes = info.file_bytes;
+  m.shards[1].header_checksum = info.header_checksum;
+  ASSERT_TRUE(io::write_shard_manifest(m, dir).ok());
+
+  io::ShardedDataset store;
+  const io::SnapshotResult opened = io::ShardedDataset::open(dir, store);
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  Dataset out;
+  const io::SnapshotResult r = store.load_shard(1, out);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("invalid shard dataset: "), std::string::npos)
+      << r.error;
+  EXPECT_NE(r.error.find("wifi_state"), std::string::npos) << r.error;
+}
+
 // --- Pipelined scan (DESIGN.md §5j) ------------------------------------
 // Suite names carry the ShardPipeline prefix so the TSan CI job can
 // select the prefetcher / parallel-scan coverage by regex.

@@ -342,6 +342,62 @@ TEST(SnapshotCorruption, GarbageFileRejected) {
   EXPECT_FALSE(io::load_snapshot(tmp.path / "missing.tksnap", out).ok());
 }
 
+/// Writes `v` over the first byte of a field, bools included: a mutant
+/// models file bytes, not a value the program would assign.
+template <typename T>
+void poke(T& field, std::uint8_t v) {
+  std::memset(&field, v, 1);
+}
+
+// The checksums only prove a snapshot holds the bytes its writer sealed.
+// A sealed file whose records break the campaign contract (a crafted
+// file, or a writer handed a bad campaign) must still load as a clean
+// "invalid dataset:" error: each of these once loaded fine and then
+// overflowed a kernel's per-enum array or indexed a missing survey row.
+TEST(SnapshotCorruption, SealedContractViolationsRejected) {
+  const Dataset base = sim::simulate_year(Year::Y2015, 0.02);
+  ASSERT_GE(base.samples.size(), 2u);
+  ASSERT_EQ(base.samples[0].device, base.samples[1].device);
+  ASSERT_FALSE(base.app_traffic.empty());
+  ASSERT_FALSE(base.aps.empty());
+  ASSERT_TRUE(base.devices[0].recruited);
+
+  struct Mutation {
+    const char* what;
+    void (*apply)(Dataset&);
+  };
+  const Mutation mutations[] = {
+      {"AppCategory 200",
+       [](Dataset& d) { poke(d.app_traffic[0].category, 200); }},
+      {"carrier 200", [](Dataset& d) { poke(d.devices[0].carrier, 200); }},
+      {"recruited byte 2", [](Dataset& d) { poke(d.devices[0].recruited, 2); }},
+      {"wifi_state 200", [](Dataset& d) { poke(d.samples[0].wifi_state, 200); }},
+      {"tethering byte 2", [](Dataset& d) { poke(d.samples[0].tethering, 2); }},
+      {"occupation 200", [](Dataset& d) { poke(d.survey[0].occupation, 200); }},
+      {"band 200", [](Dataset& d) { poke(d.aps[0].band, 200); }},
+      {"empty survey", [](Dataset& d) { d.survey.clear(); }},
+      {"duplicate (device, bin)",
+       [](Dataset& d) { d.samples[1].bin = d.samples[0].bin; }},
+  };
+
+  TempDir tmp;
+  const fs::path file = tmp.path / "mutant.tksnap";
+  ASSERT_TRUE(io::save_snapshot(base, file).ok());
+  Dataset control;
+  ASSERT_TRUE(io::load_snapshot(file, control).ok());
+
+  for (const Mutation& m : mutations) {
+    Dataset mutant = base;
+    m.apply(mutant);  // last touch before the raw write
+    ASSERT_TRUE(io::save_snapshot(mutant, file).ok()) << m.what;
+    Dataset out;
+    const io::SnapshotResult r = io::load_snapshot(file, out);
+    EXPECT_FALSE(r.ok()) << m.what;
+    EXPECT_NE(r.error.find("invalid dataset: "), std::string::npos)
+        << m.what << ": " << r.error;
+  }
+}
+
 // --- Campaign cache ----------------------------------------------------
 
 TEST(CampaignCache, MissThenHitProducesIdenticalDataset) {
