@@ -1,7 +1,6 @@
 #include "analysis/apps.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 
 #include "analysis/query/scan.h"
@@ -74,10 +73,11 @@ struct AppPartial {
   // ranges, and the hot loop strides SoA columns only — app_count
   // (u8), wifi_state (u8), ap (u32) and geo_cell (u16) — never the
   // 48-byte AoS array. A sample's app records sit at a running
-  // cursor: records are appended in (device, bin) order, so starting
-  // at device_app_begin(d) and consuming app_count per sample
-  // recovers every sample's app range without reading Sample::
-  // app_begin. All sums are u64 over u32 values, so the block
+  // cursor: the campaign contract's app-layout rule (AppLayout,
+  // core/records.h) makes each device's app-bearing samples take
+  // consecutive records, so starting at device_app_begin(d) and
+  // consuming app_count per sample recovers every sample's app range
+  // from the columns alone. All sums are u64 over u32 values, so the block
   // reduction is byte-identical to the serial scan at any thread
   // count.
   const std::span<const std::uint8_t> acnt = idx.app_count();
@@ -136,14 +136,6 @@ struct AppPartial {
               // and sweep the range in a single tight loop.
               std::size_t run_count = 0;
               for (std::size_t k = i; k < j; ++k) run_count += acnt[k];
-#ifndef NDEBUG
-              for (std::size_t k = i, dbg = cursor; k < j; ++k) {
-                if (acnt[k] != 0) {
-                  assert(dbg == std::size_t{ds.samples[k].app_begin});
-                }
-                dbg += acnt[k];
-              }
-#endif
               const std::size_t a0 = cursor;
               cursor += run_count;
               auto& rx_row = p.rx[static_cast<std::size_t>(ctx)];

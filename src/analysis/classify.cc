@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "analysis/query/source.h"
+#include "core/dataset_index.h"
 #include "core/parallel.h"
 #include "net/essid.h"
 
@@ -34,13 +36,17 @@ struct DeviceApStats {
   std::uint32_t home_ap = value(kNoAp);
 };
 
-/// Scans one device's samples. Pure function of that device's stream,
+/// Scans device `d`'s samples. Pure function of that device's stream,
 /// so devices can run concurrently; all counts merge by addition and
 /// set union, which are grouping-independent.
 [[nodiscard]] DeviceApStats scan_device(const Dataset& ds,
                                         const ClassifyOptions& opt,
-                                        const DeviceInfo& dev,
-                                        int min_bins) {
+                                        std::size_t d, int min_bins) {
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bins = idx.bin();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const std::span<const std::uint32_t> aps = idx.ap();
+  const std::span<const GeoCell> geo = idx.geo_cell();
   DeviceApStats stats;
   std::unordered_map<std::uint32_t, std::size_t> ap_index;
   std::unordered_map<std::uint32_t, int> night_counts;  // per device-day
@@ -67,9 +73,12 @@ struct DeviceApStats {
     window_day = -1;
   };
 
-  for (const Sample& s : ds.device_samples(dev.id)) {
-    if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-      const std::uint32_t ap = value(s.ap);
+  for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+    const TimeBin bin = bins[i];
+    const std::uint32_t ap = aps[i];
+    const bool assoc =
+        state[i] == WifiState::Associated && ap != value(kNoAp);
+    if (assoc) {
       auto [it, inserted] = ap_index.try_emplace(ap, stats.aps.size());
       if (inserted) {
         stats.aps.emplace_back();
@@ -77,28 +86,26 @@ struct DeviceApStats {
       }
       DeviceApStats::PerAp& per_ap = stats.aps[it->second];
       ++per_ap.assoc_bins;
-      if (s.geo_cell != kNoGeoCell) per_ap.cells_seen.insert(s.geo_cell);
-      const bool weekday = !ds.calendar.is_weekend(s.bin);
-      if (weekday && ds.calendar.in_hour_window(s.bin, opt.office_from_hour,
+      if (geo[i] != kNoGeoCell) per_ap.cells_seen.insert(geo[i]);
+      const bool weekday = !ds.calendar.is_weekend(bin);
+      if (weekday && ds.calendar.in_hour_window(bin, opt.office_from_hour,
                                                 opt.office_to_hour)) {
         ++per_ap.office_window_bins;
       }
     }
 
     // Maintain the rolling nightly window.
-    const int hour = ds.calendar.hour_of(s.bin);
+    const int hour = ds.calendar.hour_of(bin);
     const bool in_night = ds.calendar.in_hour_window(
-        s.bin, opt.night_from_hour, opt.night_to_hour);
+        bin, opt.night_from_hour, opt.night_to_hour);
     if (in_night) {
-      const int day = ds.calendar.day_of(s.bin);
+      const int day = ds.calendar.day_of(bin);
       const int wd = hour >= opt.night_from_hour ? day : day - 1;
       if (wd != window_day) {
         flush_window();
         window_day = wd;
       }
-      if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-        ++night_counts[value(s.ap)];
-      }
+      if (assoc) ++night_counts[ap];
     } else if (window_day >= 0) {
       flush_window();
     }
@@ -166,7 +173,7 @@ ApClassification classify_aps(const query::DataSource& src,
   src.fold<std::vector<DeviceApStats>>(
       [&](const Dataset& block, std::size_t) {
         return core::parallel_map(block.devices.size(), [&](std::size_t i) {
-          return scan_device(block, opt, block.devices[i], min_bins);
+          return scan_device(block, opt, i, min_bins);
         });
       },
       [&](std::vector<DeviceApStats>&& per_device, std::size_t base) {

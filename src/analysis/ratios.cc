@@ -1,33 +1,48 @@
 #include "analysis/ratios.h"
 
+#include <span>
+
 #include "analysis/query/source.h"
+#include "core/dataset_index.h"
 #include "core/parallel.h"
 
 namespace tokyonet::analysis {
 namespace {
 
-/// Accumulates one sample into a per-device partial result; `klass` is
-/// the campaign-wide (device, day) table, `base` rebases the block's
-/// local device id into it.
-void add_sample(WifiRatios& r, const CampaignCalendar& cal, const Sample& s,
-                const std::vector<UserClass>& klass, std::size_t num_days,
-                std::size_t base) {
-  const double wifi = s.wifi_rx / kBytesPerMb;
-  const double total = wifi + s.cell_rx / kBytesPerMb;
-  const bool assoc = s.wifi_state == WifiState::Associated;
-  const UserClass k = klass[(base + value(s.device)) * num_days +
-                            static_cast<std::size_t>(cal.day_of(s.bin))];
+/// Accumulates block-local device `d`'s samples into one partial
+/// result; `klass` is the campaign-wide (device, day) table, `base`
+/// rebases `d` into it.
+[[nodiscard]] WifiRatios device_ratios(const Dataset& ds, std::size_t d,
+                                       const std::vector<UserClass>& klass,
+                                       std::size_t num_days, std::size_t base) {
+  const CampaignCalendar& cal = ds.calendar;
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bins = idx.bin();
+  const std::span<const std::uint32_t> cell_rx = idx.cell_rx();
+  const std::span<const std::uint32_t> wifi_rx = idx.wifi_rx();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const UserClass* const device_klass = klass.data() + (base + d) * num_days;
 
-  if (total > 0) r.traffic_all.add(cal, s.bin, wifi, total);
-  r.users_all.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
+  WifiRatios r;
+  for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+    const TimeBin bin = bins[i];
+    const double wifi = wifi_rx[i] / kBytesPerMb;
+    const double total = wifi + cell_rx[i] / kBytesPerMb;
+    const bool assoc = state[i] == WifiState::Associated;
+    const UserClass k = device_klass[cal.day_of(bin)];
 
-  if (k == UserClass::Heavy) {
-    if (total > 0) r.traffic_heavy.add(cal, s.bin, wifi, total);
-    r.users_heavy.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
-  } else if (k == UserClass::Light) {
-    if (total > 0) r.traffic_light.add(cal, s.bin, wifi, total);
-    r.users_light.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
+    if (total > 0) r.traffic_all.add(cal, bin, wifi, total);
+    r.users_all.add(cal, bin, assoc ? 1.0 : 0.0, 1.0);
+
+    if (k == UserClass::Heavy) {
+      if (total > 0) r.traffic_heavy.add(cal, bin, wifi, total);
+      r.users_heavy.add(cal, bin, assoc ? 1.0 : 0.0, 1.0);
+    } else if (k == UserClass::Light) {
+      if (total > 0) r.traffic_light.add(cal, bin, wifi, total);
+      r.users_light.add(cal, bin, assoc ? 1.0 : 0.0, 1.0);
+    }
   }
+  return r;
 }
 
 void merge(WifiRatios& into, const WifiRatios& from) {
@@ -61,12 +76,8 @@ WifiRatios compute_wifi_ratios(const query::DataSource& src,
   WifiRatios r;
   src.fold<std::vector<WifiRatios>>(
       [&](const Dataset& block, std::size_t base) {
-        return core::parallel_map(block.devices.size(), [&](std::size_t i) {
-          WifiRatios p;
-          for (const Sample& s : block.device_samples(block.devices[i].id)) {
-            add_sample(p, block.calendar, s, klass, num_days, base);
-          }
-          return p;
+        return core::parallel_map(block.devices.size(), [&](std::size_t d) {
+          return device_ratios(block, d, klass, num_days, base);
         });
       },
       [&](std::vector<WifiRatios>&& partials, std::size_t) {

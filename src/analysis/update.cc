@@ -1,8 +1,10 @@
 #include "analysis/update.h"
 
 #include <algorithm>
+#include <span>
 
 #include "analysis/common.h"
+#include "core/dataset_index.h"
 #include "stats/descriptive.h"
 
 namespace tokyonet::analysis {
@@ -11,32 +13,32 @@ UpdateDetection detect_updates(const Dataset& ds,
                                const UpdateDetectOptions& opt) {
   UpdateDetection out;
   out.update_bin.assign(ds.devices.size(), -1);
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bin = idx.bin();
+  const std::span<const std::uint32_t> wifi_rx = idx.wifi_rx();
 
-  std::vector<double> window;
-  for (const DeviceInfo& dev : ds.devices) {
-    if (dev.os != Os::Ios) continue;
+  for (std::size_t d = 0; d < ds.devices.size(); ++d) {
+    if (ds.devices[d].os != Os::Ios) continue;
     ++out.num_ios;
-    const auto samples = ds.device_samples(dev.id);
 
     // Rolling sum of qualifying WiFi download over `window_bins` samples.
     double sum = 0;
-    std::size_t tail = 0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if (ds.calendar.day_of(samples[i].bin) < opt.min_day) {
+    std::size_t tail = idx.device_begin(d);
+    for (std::size_t i = tail; i < idx.device_end(d); ++i) {
+      if (ds.calendar.day_of(bin[i]) < opt.min_day) {
         tail = i + 1;
         sum = 0;
         continue;
       }
-      const double mb = samples[i].wifi_rx / kBytesPerMb;
+      const double mb = wifi_rx[i] / kBytesPerMb;
       sum += mb >= opt.min_bin_mb ? mb : 0;
       while (i - tail + 1 > static_cast<std::size_t>(opt.window_bins)) {
-        const double t = samples[tail].wifi_rx / kBytesPerMb;
+        const double t = wifi_rx[tail] / kBytesPerMb;
         sum -= t >= opt.min_bin_mb ? t : 0;
         ++tail;
       }
       if (sum >= opt.burst_mb) {
-        out.update_bin[value(dev.id)] =
-            static_cast<std::int32_t>(samples[tail].bin);
+        out.update_bin[d] = static_cast<std::int32_t>(bin[tail]);
         ++out.num_updated;
         break;
       }

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string_view>
 
 #include "analysis/query/source.h"
+#include "core/dataset_index.h"
 
 namespace tokyonet::analysis {
 namespace {
@@ -26,48 +28,53 @@ struct ApsPerDayCounts {
   }
 };
 
+// Walks every device's samples day by day through the index's day
+// ranges: add(ap) for each associated sample, then day_done(d, day)
+// once the device's day `day` is scanned.
+template <typename Add, typename DayDone>
+void for_each_associated_day(const Dataset& ds, Add&& add,
+                             DayDone&& day_done) {
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const std::span<const std::uint32_t> ap = idx.ap();
+  for (std::size_t d = 0; d < ds.devices.size(); ++d) {
+    for (int day = 0; day < ds.num_days(); ++day) {
+      const std::size_t end = idx.day_begin(d, day + 1);
+      for (std::size_t i = idx.day_begin(d, day); i < end; ++i) {
+        if (state[i] == WifiState::Associated && ap[i] != value(kNoAp)) {
+          add(ap[i]);
+        }
+      }
+      day_done(d, day);
+    }
+  }
+}
+
 // Scans one device block whose global device indices start at `base`;
 // `klass` is the campaign-wide (device, day) -> UserClass table.
 [[nodiscard]] ApsPerDayCounts aps_per_day_counts(
     const Dataset& ds, const std::vector<UserClass>& klass, std::size_t base) {
   const auto num_days = static_cast<std::size_t>(ds.num_days());
   ApsPerDayCounts out;
-
   std::set<std::uint32_t> seen;
-  for (const DeviceInfo& dev : ds.devices) {
-    const auto samples = ds.device_samples(dev.id);
-    int cur_day = -1;
-    seen.clear();
-    auto flush = [&](int day) {
-      if (cur_day < 0 || seen.empty()) {
+  for_each_associated_day(
+      ds, [&](std::uint32_t ap) { seen.insert(ap); },
+      [&](std::size_t d, int day) {
+        if (seen.empty()) return;
+        const auto k = std::min<std::size_t>(seen.size(), 4) - 1;
+        const UserClass uc =
+            klass[(base + d) * num_days + static_cast<std::size_t>(day)];
+        out.counts[0][k] += 1;
+        out.totals[0] += 1;
+        if (uc == UserClass::Heavy) {
+          out.counts[1][k] += 1;
+          out.totals[1] += 1;
+        } else if (uc == UserClass::Light) {
+          out.counts[2][k] += 1;
+          out.totals[2] += 1;
+        }
         seen.clear();
-        cur_day = day;
-        return;
-      }
-      const auto k = std::min<std::size_t>(seen.size(), 4) - 1;
-      const UserClass uc = klass[(base + value(dev.id)) * num_days +
-                                 static_cast<std::size_t>(cur_day)];
-      out.counts[0][k] += 1;
-      out.totals[0] += 1;
-      if (uc == UserClass::Heavy) {
-        out.counts[1][k] += 1;
-        out.totals[1] += 1;
-      } else if (uc == UserClass::Light) {
-        out.counts[2][k] += 1;
-        out.totals[2] += 1;
-      }
-      seen.clear();
-      cur_day = day;
-    };
-    for (const Sample& s : samples) {
-      const int day = ds.calendar.day_of(s.bin);
-      if (day != cur_day) flush(day);
-      if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-        seen.insert(value(s.ap));
-      }
-    }
-    flush(-1);
-  }
+      });
   return out;
 }
 
@@ -113,14 +120,15 @@ struct HpoCounts {
 [[nodiscard]] HpoCounts hpo_counts(const Dataset& ds,
                                    const ApClassification& cls) {
   HpoCounts out;
-
   std::set<std::pair<int, std::string_view>> essids;  // (class, essid)
-  for (const DeviceInfo& dev : ds.devices) {
-    const auto samples = ds.device_samples(dev.id);
-    int cur_day = -1;
-    essids.clear();
-    auto flush = [&](int day) {
-      if (cur_day >= 0 && !essids.empty()) {
+  for_each_associated_day(
+      ds,
+      [&](std::uint32_t ap) {
+        essids.emplace(static_cast<int>(cls.class_of(ApId{ap})),
+                       ds.aps[ap].essid);
+      },
+      [&](std::size_t, int) {
+        if (essids.empty()) return;
         std::array<int, 3> hpo{0, 0, 0};
         for (const auto& [c, name] : essids) ++hpo[static_cast<std::size_t>(c)];
         out.total += 1;
@@ -129,20 +137,8 @@ struct HpoCounts {
         } else {
           out.share[hpo] += 1;
         }
-      }
-      essids.clear();
-      cur_day = day;
-    };
-    for (const Sample& s : samples) {
-      const int day = ds.calendar.day_of(s.bin);
-      if (day != cur_day) flush(day);
-      if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-        essids.emplace(static_cast<int>(cls.class_of(s.ap)),
-                       ds.aps[value(s.ap)].essid);
-      }
-    }
-    flush(-1);
-  }
+        essids.clear();
+      });
   return out;
 }
 
@@ -193,9 +189,12 @@ namespace {
     const Dataset& ds, const ApClassification& cls) {
   AssociationDurations out;
   const double bin_hours = kMinutesPerBin / 60.0;
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bin = idx.bin();
+  const std::span<const WifiState> state = idx.wifi_state();
+  const std::span<const std::uint32_t> ap = idx.ap();
 
-  for (const DeviceInfo& dev : ds.devices) {
-    const auto samples = ds.device_samples(dev.id);
+  for (std::size_t d = 0; d < ds.devices.size(); ++d) {
     ApId run_ap = kNoAp;
     int run_len = 0;
     TimeBin prev_bin = 0;
@@ -214,17 +213,18 @@ namespace {
       run_ap = kNoAp;
       run_len = 0;
     };
-    for (const Sample& s : samples) {
-      const bool assoc = s.wifi_state == WifiState::Associated && s.ap != kNoAp;
-      const bool contiguous = run_len == 0 || s.bin == prev_bin + 1;
-      if (!assoc || !contiguous || (run_ap != kNoAp && s.ap != run_ap)) {
+    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+      const ApId s_ap{ap[i]};
+      const bool assoc = state[i] == WifiState::Associated && s_ap != kNoAp;
+      const bool contiguous = run_len == 0 || bin[i] == prev_bin + 1;
+      if (!assoc || !contiguous || (run_ap != kNoAp && s_ap != run_ap)) {
         flush();
       }
       if (assoc) {
-        run_ap = s.ap;
+        run_ap = s_ap;
         ++run_len;
       }
-      prev_bin = s.bin;
+      prev_bin = bin[i];
     }
     flush();
   }

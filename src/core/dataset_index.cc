@@ -17,24 +17,64 @@ template <typename T>
 
 }  // namespace
 
-DatasetIndex::ColumnWriter::ColumnWriter(DatasetIndex& idx, std::size_t n)
-    : bin(allocate(idx.bin_, n)),
-      cell_rx(allocate(idx.cell_rx_, n)),
-      cell_tx(allocate(idx.cell_tx_, n)),
-      wifi_rx(allocate(idx.wifi_rx_, n)),
-      wifi_tx(allocate(idx.wifi_tx_, n)),
-      ap(allocate(idx.ap_, n)),
-      wifi_state(allocate(idx.wifi_state_, n)),
-      tech(allocate(idx.tech_, n)),
-      battery(allocate(idx.battery_, n)),
-      rssi(allocate(idx.rssi_, n)),
-      geo(allocate(idx.geo_, n)),
-      app_count(allocate(idx.app_count_, n)),
-      flags(allocate(idx.flags_, n)),
-      scan24_all(allocate(idx.scan24_all_, n)),
-      scan24_strong(allocate(idx.scan24_strong_, n)),
-      scan5_all(allocate(idx.scan5_all_, n)),
-      scan5_strong(allocate(idx.scan5_strong_, n)) {}
+/// Raw cursors into the projected SoA columns, so projecting a sample
+/// compiles to a handful of stores. The one list of projected fields;
+/// Sample::app_begin is not projected (the index keeps per-device app
+/// ranges instead).
+struct DatasetIndex::ColumnWriter {
+  /// Sizes every column of `idx` to `n` records, skipping the zero-fill
+  /// (build() writes every record or discards the index), and points the
+  /// cursors at them.
+  ColumnWriter(DatasetIndex& idx, std::size_t n)
+      : bin(allocate(idx.bin_, n)),
+        cell_rx(allocate(idx.cell_rx_, n)),
+        cell_tx(allocate(idx.cell_tx_, n)),
+        wifi_rx(allocate(idx.wifi_rx_, n)),
+        wifi_tx(allocate(idx.wifi_tx_, n)),
+        ap(allocate(idx.ap_, n)),
+        wifi_state(allocate(idx.wifi_state_, n)),
+        tech(allocate(idx.tech_, n)),
+        battery(allocate(idx.battery_, n)),
+        rssi(allocate(idx.rssi_, n)),
+        geo(allocate(idx.geo_, n)),
+        app_count(allocate(idx.app_count_, n)),
+        flags(allocate(idx.flags_, n)),
+        scan24_all(allocate(idx.scan24_all_, n)),
+        scan24_strong(allocate(idx.scan24_strong_, n)),
+        scan5_all(allocate(idx.scan5_all_, n)),
+        scan5_strong(allocate(idx.scan5_strong_, n)) {}
+
+  /// Projects `s` into position `i`.
+  void set(std::size_t i, const Sample& s) const noexcept {
+    bin[i] = s.bin;
+    cell_rx[i] = s.cell_rx;
+    cell_tx[i] = s.cell_tx;
+    wifi_rx[i] = s.wifi_rx;
+    wifi_tx[i] = s.wifi_tx;
+    ap[i] = value(s.ap);
+    wifi_state[i] = s.wifi_state;
+    tech[i] = s.tech;
+    battery[i] = s.battery_pct;
+    rssi[i] = s.rssi_dbm;
+    geo[i] = s.geo_cell;
+    app_count[i] = s.app_count;
+    flags[i] = static_cast<std::uint8_t>(s.tethering ? kFlagTethering : 0);
+    scan24_all[i] = s.scan_pub24_all;
+    scan24_strong[i] = s.scan_pub24_strong;
+    scan5_all[i] = s.scan_pub5_all;
+    scan5_strong[i] = s.scan_pub5_strong;
+  }
+
+  TimeBin* bin;
+  std::uint32_t *cell_rx, *cell_tx, *wifi_rx, *wifi_tx, *ap;
+  WifiState* wifi_state;
+  CellTech* tech;
+  std::uint8_t* battery;
+  std::int8_t* rssi;
+  std::uint16_t* geo;
+  std::uint8_t *app_count, *flags;
+  std::uint8_t *scan24_all, *scan24_strong, *scan5_all, *scan5_strong;
+};
 
 void DatasetIndex::fill_hour_of_week(const CampaignCalendar& cal) {
   // Saturday-based, to match WeeklyProfile's axes.
@@ -51,50 +91,6 @@ void DatasetIndex::fill_hour_of_week(const CampaignCalendar& cal) {
       }
     }
   }
-}
-
-// Every record of every column is written by the producer's set() calls
-// (one per (device, bin) position).
-DatasetIndex::DenseBuilder::DenseBuilder(std::size_t n_devices,
-                                         const CampaignCalendar& cal)
-    : idx_(new DatasetIndex()),
-      cols_(*idx_, n_devices * static_cast<std::size_t>(cal.num_bins())) {
-  const auto n_bins = static_cast<std::size_t>(cal.num_bins());
-  const int num_days = cal.num_days();
-  idx_->num_days_ = num_days;
-  idx_->dense_ = n_devices > 0;
-
-  // In a dense campaign every contiguous range is arithmetic: device d
-  // owns [d * n_bins, (d + 1) * n_bins) and its day boundaries fall at
-  // fixed kBinsPerDay strides, exactly where build()'s scan would put
-  // them.
-  idx_->device_offset_.resize(n_devices + 1);
-  for (std::size_t d = 0; d <= n_devices; ++d) {
-    idx_->device_offset_[d] = d * n_bins;
-  }
-  const auto day_stride = static_cast<std::size_t>(num_days) + 1;
-  idx_->day_offset_.resize(n_devices * day_stride);
-  for (std::size_t d = 0; d < n_devices; ++d) {
-    std::size_t* const days = idx_->day_offset_.data() + d * day_stride;
-    for (std::size_t day = 0; day < day_stride; ++day) {
-      days[day] = d * n_bins + day * kBinsPerDay;
-    }
-  }
-  idx_->app_range_.assign(n_devices * 2, 0);
-
-  idx_->fill_hour_of_week(cal);
-}
-
-void DatasetIndex::DenseBuilder::set_app_range(std::size_t d,
-                                               std::size_t begin,
-                                               std::size_t end) noexcept {
-  idx_->app_range_[2 * d] = begin;
-  idx_->app_range_[2 * d + 1] = end;
-}
-
-std::shared_ptr<const DatasetIndex> DatasetIndex::DenseBuilder::finish()
-    noexcept {
-  return std::move(idx_);
 }
 
 std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
@@ -154,11 +150,11 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
   });
 
   // Per-(device, day) boundaries and per-device app-traffic ranges, one
-  // linear walk of each device's (already cache-dense) bin column.
+  // linear walk of each device's (already cache-dense) columns.
   const std::size_t day_stride = static_cast<std::size_t>(num_days) + 1;
   idx->day_offset_.assign(n_devices * day_stride, 0);
   idx->app_range_.assign(n_devices * 2, 0);
-  std::vector<char> device_dense(n_devices, 0);
+  std::vector<char> device_dense(n_devices, 0), device_apps_ok(n_devices, 0);
   parallel_for(n_devices, [&](std::size_t d) {
     const std::size_t begin = idx->device_offset_[d];
     const std::size_t end = idx->device_offset_[d + 1];
@@ -177,28 +173,22 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
     }
     days[num_days] = end;
 
-    // Per-application records are spliced in device order (simulator /
-    // snapshot contract), so the union of this device's sample app
-    // ranges is itself contiguous.
-    std::size_t ab = 0, ae = 0;
-    bool any = false;
-    for (std::size_t j = begin; j < end; ++j) {
-      // The dense column, not the 48-byte AoS.
-      if (cols.app_count[j] == 0) continue;
-      const Sample& s = ss[j];
-      const auto lo = std::size_t{s.app_begin};
-      const std::size_t hi = lo + s.app_count;
-      if (!any) {
-        ab = lo;
-        any = true;
-      } else {
-        ab = std::min(ab, lo);
-      }
-      ae = std::max(ae, hi);
+    // The contract's app-layout rule: the device's app-bearing samples
+    // take consecutive records, so together they form one range.
+    AppLayout apps;
+    bool apps_ok = true;
+    for (std::size_t j = begin; apps_ok && j < end; ++j) {
+      // The dense column first, not the 48-byte AoS.
+      apps_ok = cols.app_count[j] == 0 || apps.add(ss[j]);
     }
-    idx->app_range_[2 * d] = ab;
-    idx->app_range_[2 * d + 1] = ae;
+    device_apps_ok[d] = apps_ok ? 1 : 0;
+    idx->app_range_[2 * d] = apps.begin;
+    idx->app_range_[2 * d + 1] = apps.end;
   });
+  if (std::find(device_apps_ok.begin(), device_apps_ok.end(), char{0}) !=
+      device_apps_ok.end()) {
+    return nullptr;
+  }
   idx->dense_ = n_devices > 0 &&
                 std::find(device_dense.begin(), device_dense.end(), char{0}) ==
                     device_dense.end();

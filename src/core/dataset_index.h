@@ -1,9 +1,12 @@
 // Shared dataset acceleration index: one pass to index, every kernel
 // parallel.
 //
-// A DatasetIndex is built once per Dataset (by Dataset::build_index())
-// and gives every analysis kernel three things the AoS sample array
-// cannot:
+// A DatasetIndex is built once per Dataset, by the one validating sweep
+// of build(): every producer — the simulator and the snapshot, shard,
+// CSV and ingest loaders — reaches it through
+// Dataset::validate_and_index(). It is the analysis layer's only view
+// of the samples, and gives every kernel three things the AoS sample
+// array cannot:
 //
 //  1. Contiguous ranges — per-device sample ranges, per-(device, day)
 //     sample ranges and per-device app-traffic ranges — so kernels can
@@ -42,91 +45,12 @@ class DatasetIndex {
  public:
   /// Builds the index for `ds`. Returns nullptr — instead of silently
   /// building a wrong index — when a sample breaks the campaign
-  /// contract: the projection sweep calls check_sample()
-  /// (core/records.h), the rule Dataset::validate() applies, so
-  /// Dataset::validate_and_index() gets its per-sample validation from
-  /// this one sweep.
+  /// contract: the projection sweep calls check_sample() and the
+  /// per-device walk applies AppLayout (core/records.h), the rules
+  /// Dataset::validate() applies, so Dataset::validate_and_index() gets
+  /// its per-sample validation from this one build.
   [[nodiscard]] static std::shared_ptr<const DatasetIndex> build(
       const Dataset& ds);
-
- private:
-  /// Raw cursors into the projected SoA columns, so projecting a sample
-  /// compiles to a handful of stores. The one list of projected fields:
-  /// DenseBuilder::set() and build() both write through set().
-  struct ColumnWriter {
-    /// Sizes every column of `idx` to `n` records, skipping the
-    /// zero-fill (the producer writes every record), and points the
-    /// cursors at them.
-    ColumnWriter(DatasetIndex& idx, std::size_t n);
-
-    /// Projects `s` into position `i`. Sample::app_begin is not
-    /// projected, so producers may rebase it after emission (the
-    /// simulator's splice does).
-    void set(std::size_t i, const Sample& s) const noexcept {
-      bin[i] = s.bin;
-      cell_rx[i] = s.cell_rx;
-      cell_tx[i] = s.cell_tx;
-      wifi_rx[i] = s.wifi_rx;
-      wifi_tx[i] = s.wifi_tx;
-      ap[i] = value(s.ap);
-      wifi_state[i] = s.wifi_state;
-      tech[i] = s.tech;
-      battery[i] = s.battery_pct;
-      rssi[i] = s.rssi_dbm;
-      geo[i] = s.geo_cell;
-      app_count[i] = s.app_count;
-      flags[i] = static_cast<std::uint8_t>(s.tethering ? kFlagTethering : 0);
-      scan24_all[i] = s.scan_pub24_all;
-      scan24_strong[i] = s.scan_pub24_strong;
-      scan5_all[i] = s.scan_pub5_all;
-      scan5_strong[i] = s.scan_pub5_strong;
-    }
-
-    TimeBin* bin;
-    std::uint32_t *cell_rx, *cell_tx, *wifi_rx, *wifi_tx, *ap;
-    WifiState* wifi_state;
-    CellTech* tech;
-    std::uint8_t* battery;
-    std::int8_t* rssi;
-    std::uint16_t* geo;
-    std::uint8_t *app_count, *flags;
-    std::uint8_t *scan24_all, *scan24_strong, *scan5_all, *scan5_strong;
-  };
-
- public:
-  /// Zero-validation builder for producers whose sample stream is dense
-  /// by construction — exactly one sample per (device, bin), emitted in
-  /// (device, bin) order (the simulator's contract). The producer
-  /// projects each finished Sample into the SoA columns as it emits it
-  /// (set()), replacing build()'s separate validation + projection pass
-  /// — a second memory-bound sweep over the 48-byte AoS array — with
-  /// stores that overlap generation; every contiguous range is pure
-  /// arithmetic in a dense campaign, and the resulting index is
-  /// value-identical to what build() would produce for the same stream.
-  /// Parallel producers may call set() concurrently on disjoint sample
-  /// positions.
-  class DenseBuilder {
-   public:
-    DenseBuilder(std::size_t n_devices, const CampaignCalendar& cal);
-
-    /// Projects `s`, the sample at global position `i`
-    /// (device * num_bins + bin); see ColumnWriter::set().
-    void set(std::size_t i, const Sample& s) const noexcept {
-      cols_.set(i, s);
-    }
-
-    /// Records device `d`'s contiguous slice of Dataset::app_traffic
-    /// (leave unset for devices with no per-app records).
-    void set_app_range(std::size_t d, std::size_t begin,
-                       std::size_t end) noexcept;
-
-    /// Finalizes and returns the index; the builder is empty afterwards.
-    [[nodiscard]] std::shared_ptr<const DatasetIndex> finish() noexcept;
-
-   private:
-    std::shared_ptr<DatasetIndex> idx_;
-    ColumnWriter cols_;
-  };
 
   [[nodiscard]] std::size_t num_samples() const noexcept {
     return bin_.size();
@@ -162,7 +86,9 @@ class DatasetIndex {
 
   /// Device `d`'s per-application records occupy
   /// [device_app_begin(d), device_app_end(d)) of Dataset::app_traffic
-  /// (an empty range for devices with no per-app breakdown).
+  /// (an empty range for devices with no per-app breakdown). By the
+  /// AppLayout rule its app-bearing samples take them in order, so a
+  /// kernel walks them with a cursor that advances by app_count().
   [[nodiscard]] std::size_t device_app_begin(std::size_t d) const noexcept {
     return app_range_[2 * d];
   }
@@ -235,15 +161,15 @@ class DatasetIndex {
   // --- Calendar lookup tables --------------------------------------------
 
   /// WeeklyProfile::hour_of_week(cal, bin), precomputed per campaign bin.
-  [[nodiscard]] int hour_of_week(TimeBin bin) const noexcept {
-    return hour_of_week_[bin];
-  }
   [[nodiscard]] std::span<const std::uint16_t> hour_of_week_table()
       const noexcept {
     return {hour_of_week_.data(), hour_of_week_.size()};
   }
 
  private:
+  /// build()'s cursors into the projected columns (dataset_index.cc).
+  struct ColumnWriter;
+
   DatasetIndex() = default;
 
   /// Fills the per-bin hour-of-week LUT for `cal`.

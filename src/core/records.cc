@@ -1,6 +1,5 @@
 #include "core/records.h"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -11,11 +10,6 @@ namespace tokyonet {
 bool Dataset::build_index() {
   index_ = core::DatasetIndex::build(*this);
   return index_ != nullptr;
-}
-
-void Dataset::adopt_index(std::shared_ptr<const core::DatasetIndex> idx) {
-  assert(idx == nullptr || idx->num_samples() == samples.size());
-  index_ = std::move(idx);
 }
 
 bool Dataset::indexed() const noexcept {
@@ -31,14 +25,6 @@ const core::DatasetIndex& Dataset::index() const {
   return *index_;
 }
 
-std::span<const Sample> Dataset::device_samples(DeviceId id) const {
-  const core::DatasetIndex& idx = index();
-  const std::size_t d = value(id);
-  assert(d < devices.size());
-  return {samples.data() + idx.device_begin(d),
-          idx.device_end(d) - idx.device_begin(d)};
-}
-
 std::string_view to_string(SampleFault f) noexcept {
   static constexpr std::string_view kText[] = {
       "keeps the campaign contract",
@@ -50,6 +36,8 @@ std::string_view to_string(SampleFault f) noexcept {
       "carries an out-of-range wifi_state byte",
       "carries an out-of-range tech byte",
       "carries an out-of-range tethering byte",
+      "does not start its app records where its device's previous "
+      "app-bearing sample ended",
   };
   return kText[static_cast<std::size_t>(f)];
 }
@@ -134,9 +122,11 @@ std::string Dataset::validate() const {
   const SampleBounds bounds{
       devices.size(), static_cast<std::size_t>(calendar.num_bins()),
       aps.size(), app_traffic.size()};
+  AppLayout apps;
   for (std::size_t i = 0; i < ss.size(); ++i) {
-    const SampleFault f =
-        check_sample(ss[i], i > 0 ? &ss[i - 1] : nullptr, bounds);
+    SampleFault f = check_sample(ss[i], i > 0 ? &ss[i - 1] : nullptr, bounds);
+    if (i > 0 && ss[i].device != ss[i - 1].device) apps = {};
+    if (f == SampleFault::None && !apps.add(ss[i])) f = SampleFault::AppLayout;
     if (f != SampleFault::None) {
       return "sample " + std::to_string(i) + " " + std::string(to_string(f));
     }

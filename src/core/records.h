@@ -148,13 +148,15 @@ struct SurveyResponse {
 
 // --- The campaign contract (DESIGN.md §5b) -----------------------------
 // Each rule is written once: enum ranges and bool bytes in core/types.h,
-// the per-sample rule in check_sample(), the table rules in
-// Dataset::validate_frame(); Dataset::validate_and_index() applies all.
+// the per-sample rule in check_sample(), the per-device app layout in
+// AppLayout, the table rules in Dataset::validate_frame();
+// Dataset::validate_and_index() applies all.
 
 /// Why a sample breaks the campaign contract; to_string() phrases it to
 /// follow "sample N ".
 enum class SampleFault : std::uint8_t {
   None, Device, Bin, Ap, AppRange, Order, WifiState, Tech, Tethering,
+  AppLayout,
 };
 [[nodiscard]] std::string_view to_string(SampleFault f) noexcept;
 
@@ -187,6 +189,27 @@ struct SampleBounds {
   if (!valid_bool_byte(s.tethering)) return SampleFault::Tethering;
   return SampleFault::None;
 }
+
+/// The per-device app-layout rule: within a device, each app-bearing
+/// sample's app_begin is where the previous one's records ended, so the
+/// device's records are one range [begin, end) of the app table that
+/// kernels walk with a cursor (analysis/apps.cc). Feed one device's
+/// samples in order to a fresh AppLayout.
+struct AppLayout {
+  std::size_t begin = 0, end = 0;  // the device's records so far
+  bool any = false;
+
+  /// Extends the range by `s`'s records; false when they do not start
+  /// where the range ends (SampleFault::AppLayout).
+  [[nodiscard]] bool add(const Sample& s) noexcept {
+    if (s.app_count == 0) return true;  // app_begin references nothing
+    if (!any) begin = end = s.app_begin;
+    if (s.app_begin != end) return false;
+    any = true;
+    end += s.app_count;
+    return true;
+  }
+};
 
 /// Broad behavioural archetype of a simulated user (§3.3.1 Fig 5).
 enum class UserArchetype : std::uint8_t {
@@ -261,19 +284,11 @@ class Dataset {
 
   /// (Re)build the shared acceleration index (core/dataset_index.h):
   /// per-device sample / app-traffic / per-day ranges plus SoA column
-  /// projections of the hot sample fields. Requires `samples` sorted by
-  /// (device, bin); returns false — leaving the dataset unindexed —
-  /// when the stream violates that contract (unordered samples,
-  /// out-of-range device or bin). Called by the simulator and by
-  /// deserialization.
+  /// projections of the hot sample fields. Returns false — leaving the
+  /// dataset unindexed — when a sample breaks the campaign contract
+  /// (check_sample() or AppLayout). Producers call
+  /// validate_and_index(), which adds the table rules.
   bool build_index();
-
-  /// Installs an index built externally — e.g. by the simulator's
-  /// DatasetIndex::DenseBuilder, which projects the SoA columns while
-  /// the campaign is generated instead of re-scanning the AoS array.
-  /// The caller guarantees the index describes exactly the current
-  /// `samples` array.
-  void adopt_index(std::shared_ptr<const core::DatasetIndex> idx);
 
   /// Checks the whole campaign contract (see above): the table rules,
   /// then check_sample() over every sample, in order. Returns an empty
@@ -281,8 +296,8 @@ class Dataset {
   /// fault. Loaders take validate_and_index()'s parallel path instead.
   [[nodiscard]] std::string validate() const;
 
-  /// The one validate-and-index step of every loader (snapshot, shard,
-  /// CSV, ingest): the table rules, then build_index(), whose projection
+  /// The one validate-and-index step of every producer (the simulator
+  /// and the snapshot, shard, CSV and ingest loaders): the table rules, then build_index(), whose projection
   /// sweep applies the same check_sample(), so the sample array is swept
   /// once; validate() runs only when the build rejects the stream, to
   /// name the first fault. Returns an empty string once the dataset is
@@ -294,14 +309,12 @@ class Dataset {
   /// sample count.
   [[nodiscard]] bool indexed() const noexcept;
 
-  /// The shared acceleration index. Being indexed is an invariant of
-  /// every Dataset that reaches the analysis layer (the simulator,
-  /// snapshot, shard and CSV loads all build or adopt one), and this is
-  /// its one check: an unindexed dataset throws std::logic_error.
+  /// The shared acceleration index, through whose columns the analysis
+  /// layer reads every sample. Being indexed is an invariant of every
+  /// Dataset that reaches the analysis layer (each producer ends in
+  /// validate_and_index()), and this is its one check: an unindexed
+  /// dataset throws std::logic_error.
   [[nodiscard]] const core::DatasetIndex& index() const;
-
-  /// All samples of one device, in time order. Requires the index.
-  [[nodiscard]] std::span<const Sample> device_samples(DeviceId id) const;
 
   /// Per-application records of one sample.
   [[nodiscard]] std::span<const AppTraffic> apps_of(const Sample& s) const {

@@ -4,13 +4,13 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "app/catalog.h"
-#include "core/dataset_index.h"
 #include "core/parallel.h"
 #include "geo/region.h"
 #include "net/cellular.h"
@@ -36,18 +36,6 @@ using net::Deployment;
 // (26 days * 144 bins = 3744) and days below the setup lane.
 constexpr std::uint32_t kLaneDayBase = 0x00010000u;
 constexpr std::uint32_t kLaneSetup = 0xFFFF0000u;
-
-/// Device-block granularity for the parallel sweep, from
-/// TOKYONET_SIM_DEVICE_BLOCK (default 1). The counter-based streams
-/// make campaign bytes independent of this partitioning; the knob
-/// exists so tests can assert that, and so streaming generation can
-/// pick coarser blocks.
-[[nodiscard]] std::size_t device_block_size() noexcept {
-  const char* env = std::getenv("TOKYONET_SIM_DEVICE_BLOCK");
-  if (env == nullptr) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 1 ? static_cast<std::size_t>(v) : 1;
-}
 
 [[nodiscard]] std::uint32_t mb_to_bytes_u32(double mb) noexcept {
   if (mb <= 0) return 0;
@@ -172,49 +160,32 @@ struct CampaignEngine::Impl {
     // be simulated in parallel. Every hot-path draw is keyed by
     // (seed, global device, day/bin, slot) through counter-based Philox
     // streams, so the result is byte-identical at any thread count AND
-    // any device partitioning — blocks of 1, 16 or the whole panel
-    // produce the same campaign.
+    // any device partitioning (engine.h).
     const auto n_bins = static_cast<std::size_t>(ds.calendar.num_bins());
     const std::size_t n_local = end - begin;
     // Every device writes one full Sample per bin into its slice, so the
     // zero-fill of a plain resize would be pure overhead.
     ds.samples.resize_for_overwrite(n_local * n_bins);
 
-    // The campaign is dense by construction, so the acceleration index
-    // is built alongside the samples: each device projects its finished
-    // samples into the SoA columns as it emits them (disjoint slices,
-    // safe in parallel) instead of DatasetIndex::build() re-scanning
-    // the whole 48-byte AoS array afterwards.
-    core::DatasetIndex::DenseBuilder idx_builder(n_local, ds.calendar);
-
-    const std::size_t block = device_block_size();
-    const std::size_t n_blocks = (n_local + block - 1) / block;
     std::vector<DeviceOutput> outputs(n_local);
-    core::parallel_for(n_blocks, [&](std::size_t blk) {
-      const std::size_t l0 = blk * block;
-      const std::size_t l1 = std::min(l0 + block, n_local);
-      for (std::size_t li = l0; li < l1; ++li) {
-        const UserProfile& user = users_[begin + li];
-        DeviceContext ctx{&user, false, 0, -1};
-        net::DeviceCapTracker cap(config_.cap, config_.num_days);
-        DeviceOutput out;
-        // Android devices emit ~0.8 records per bin on average; one
-        // right-sized reservation avoids the mid-campaign regrow.
-        out.app_traffic.reserve(n_bins);
-        simulate_device(ctx,
-                        std::span<Sample>{ds.samples.data() + li * n_bins,
-                                          n_bins},
-                        out.app_traffic, cap, ds.calendar, idx_builder,
-                        li * n_bins,
-                        DeviceId{static_cast<std::uint32_t>(li)});
-        out.update_bin = ctx.update_bin;
-        out.capped_day.resize(static_cast<std::size_t>(config_.num_days));
-        for (int d = 0; d < config_.num_days; ++d) {
-          out.capped_day[static_cast<std::size_t>(d)] =
-              cap.capped_on(d) ? 1 : 0;
-        }
-        outputs[li] = std::move(out);
+    core::parallel_for(n_local, [&](std::size_t li) {
+      const UserProfile& user = users_[begin + li];
+      DeviceContext ctx{&user, false, 0, -1};
+      net::DeviceCapTracker cap(config_.cap, config_.num_days);
+      DeviceOutput out;
+      // Android devices emit ~0.8 records per bin on average; one
+      // right-sized reservation avoids the mid-campaign regrow.
+      out.app_traffic.reserve(n_bins);
+      simulate_device(
+          ctx, std::span<Sample>{ds.samples.data() + li * n_bins, n_bins},
+          out.app_traffic, cap, ds.calendar,
+          DeviceId{static_cast<std::uint32_t>(li)});
+      out.update_bin = ctx.update_bin;
+      out.capped_day.resize(static_cast<std::size_t>(config_.num_days));
+      for (int d = 0; d < config_.num_days; ++d) {
+        out.capped_day[static_cast<std::size_t>(d)] = cap.capped_on(d) ? 1 : 0;
       }
+      outputs[li] = std::move(out);
     });
 
     // Splice variable-length outputs in device order. Rebasing each
@@ -227,13 +198,6 @@ struct CampaignEngine::Impl {
       const UserProfile& user = users_[begin + li];
       DeviceOutput& out = outputs[li];
       const auto offset = static_cast<std::uint32_t>(ds.app_traffic.size());
-      if (!out.app_traffic.empty()) {
-        // The device's records land in one contiguous slice of the
-        // global array — exactly the app range build() would derive
-        // from the rebased per-sample offsets.
-        idx_builder.set_app_range(li, offset,
-                                  offset + out.app_traffic.size());
-      }
       if (user.os == Os::Android && offset != 0) {
         const std::span<Sample> slice{ds.samples.data() + li * n_bins, n_bins};
         for (Sample& s : slice) s.app_begin += offset;
@@ -245,12 +209,17 @@ struct CampaignEngine::Impl {
       truth.capped_day = std::move(out.capped_day);
     }
 
-    if (with_universe) deployment_.export_to(ds);
-    // Samples are (device, bin)-ordered and dense by construction, and
-    // the SoA columns were already projected at emission time — install
-    // the prebuilt index instead of re-scanning the AoS array.
-    ds.adopt_index(idx_builder.finish());
-    assert(ds.indexed());
+    // Without the AP universe the samples' AP references dangle, so a
+    // universe-less block stays unindexed (its loader validates it).
+    if (!with_universe) return ds;
+    deployment_.export_to(ds);
+    // The simulator is one more producer: its campaign passes the same
+    // validating index build as every loaded one.
+    if (const std::string invalid = ds.validate_and_index();
+        !invalid.empty()) {
+      throw std::logic_error("simulated campaign breaks the contract: " +
+                             invalid);
+    }
     return ds;
   }
 
@@ -426,9 +395,7 @@ struct CampaignEngine::Impl {
   void simulate_device(DeviceContext& ctx, std::span<Sample> out_samples,
                        std::vector<AppTraffic>& app_traffic,
                        net::DeviceCapTracker& cap,
-                       const CampaignCalendar& cal,
-                       core::DatasetIndex::DenseBuilder& idx_builder,
-                       std::size_t idx_base, DeviceId emit_id) const {
+                       const CampaignCalendar& cal, DeviceId emit_id) const {
     const UserProfile& user = *ctx.user;
     const std::uint32_t dev = value(user.id);
     std::size_t out_pos = 0;
@@ -674,7 +641,6 @@ struct CampaignEngine::Impl {
           s.battery_pct = static_cast<std::uint8_t>(ctx.battery + 0.5);
         }
 
-        idx_builder.set(idx_base + out_pos, s);
         out_samples[out_pos++] = s;
       }
     }

@@ -9,7 +9,8 @@
 // Philox streams (PR 7), the bytes of a device's samples do not depend
 // on which block generated them: run_block(0, n) equals the
 // concatenation of run_block(0, k) and run_block(k, n) for every k,
-// sample for sample. That partition invariance is what lets
+// sample for sample (Simulator.DeterministicAcrossDevicePartitionings
+// pins it). That partition invariance is what lets
 // sim::stream_campaign() (stream_runner.h) write million-user campaigns
 // one shard at a time without ever holding the full panel in memory.
 //
@@ -49,15 +50,17 @@ class CampaignEngine {
   /// partition (rebasing ids/offsets back) reproduces run_all() exactly.
   ///
   /// `with_universe` additionally exports the campaign's full AP
-  /// universe (Dataset::aps + truth.aps) into the block. Without it the
-  /// AP tables are left empty — the shard-store keeps one shared copy —
-  /// and the dataset does not pass Dataset::validate() until a universe
-  /// is installed.
+  /// universe (Dataset::aps + truth.aps) into the block, and the block
+  /// ends in Dataset::validate_and_index() like every loaded campaign.
+  /// Without it the AP tables are left empty — the shard-store keeps
+  /// one shared copy — and the block is returned unindexed: it does not
+  /// pass Dataset::validate() until a universe is installed, which
+  /// io::ShardedDataset::load_shard() does before validating it.
   [[nodiscard]] Dataset run_block(std::size_t begin, std::size_t end,
                                   bool with_universe);
 
-  /// The whole campaign in one block with the universe attached:
-  /// byte-identical to what sim::Simulator::run() has always produced.
+  /// The whole campaign in one block with the universe attached,
+  /// validated and indexed: what sim::Simulator::run() returns.
   [[nodiscard]] Dataset run_all();
 
   /// Just the campaign frame and AP universe (year, calendar,

@@ -47,7 +47,7 @@ TEST(Battery, IntraDayMonotoneWhileAwayFromPower) {
   const Dataset& ds = campaign(Year::Y2015);
   int violations = 0, checked = 0;
   for (const DeviceInfo& dev : ds.devices) {
-    const auto samples = ds.device_samples(dev.id);
+    const auto samples = test::device_samples(ds, value(dev.id));
     for (std::size_t i = 1; i < samples.size(); ++i) {
       const Sample& prev = samples[i - 1];
       const Sample& cur = samples[i];

@@ -463,6 +463,35 @@ TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
         << "case " << which << ": " << err;
     EXPECT_FALSE(ds.indexed()) << "case " << which;
   }
+  // The app-layout rule: within a device, each app-bearing sample's
+  // records start where the previous one's ended. Two samples sharing
+  // record 0, or a gap, break it; each device starts its own run.
+  for (const std::uint32_t second_begin : {0u, 2u}) {
+    Dataset ds = empty_dataset(1, 1);
+    ds.app_traffic.resize(3);
+    add_sample(ds, 0, 0).app_count = 1;
+    Sample& s = add_sample(ds, 0, 1);
+    s.app_begin = second_begin;
+    s.app_count = 1;
+    EXPECT_FALSE(ds.build_index()) << "app_begin " << second_begin;
+    EXPECT_NE(ds.validate().find("previous app-bearing sample"),
+              std::string::npos)
+        << ds.validate();
+  }
+  {
+    Dataset ds = empty_dataset(2, 1);
+    ds.app_traffic.resize(3);
+    Sample& a = add_sample(ds, 0, 0);
+    a.app_begin = 2;
+    a.app_count = 1;
+    add_sample(ds, 1, 0).app_count = 2;  // another device: records 0..1
+    EXPECT_TRUE(ds.validate().empty()) << ds.validate();
+    ASSERT_TRUE(ds.build_index());
+    EXPECT_EQ(ds.index().device_app_begin(0), 2u);
+    EXPECT_EQ(ds.index().device_app_end(0), 3u);
+    EXPECT_EQ(ds.index().device_app_begin(1), 0u);
+    EXPECT_EQ(ds.index().device_app_end(1), 2u);
+  }
   {
     Dataset ds = empty_dataset(2, 1);
     add_sample(ds, 0, 0);
@@ -485,7 +514,7 @@ TEST(DatasetIndexTest, UnindexedDatasetThrowsFromKernels) {
   ASSERT_FALSE(ds.indexed());
   const auto expect_throws = [&] {
     EXPECT_THROW((void)ds.index(), std::logic_error);
-    EXPECT_THROW((void)ds.device_samples(DeviceId{0}), std::logic_error);
+    EXPECT_THROW((void)detect_updates(ds), std::logic_error);
     EXPECT_THROW((void)user_days(ds), std::logic_error);
     const query::InMemorySource src(ds);
     EXPECT_THROW((void)aggregate_series(src, Stream::CellRx), std::logic_error);

@@ -49,8 +49,8 @@ TEST(Robustness, DeviceWithNoSamples) {
   // Only device 1 reports anything (devices 0 and 2 failed to upload).
   add_sample(ds, 1, 0, 1'000'000u, 0);
   test::build_index(ds);
-  EXPECT_TRUE(ds.device_samples(DeviceId{0}).empty());
-  EXPECT_EQ(ds.device_samples(DeviceId{1}).size(), 1u);
+  EXPECT_TRUE(test::device_samples(ds, 0).empty());
+  EXPECT_EQ(test::device_samples(ds, 1).size(), 1u);
   const auto days = user_days(ds);
   EXPECT_EQ(days.size(), 6u);  // rows exist for idle devices too
   const auto cls = classify_aps(query::InMemorySource(ds));

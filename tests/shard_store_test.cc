@@ -137,28 +137,8 @@ Dataset concat_shards(io::ShardedDataset& store) {
     EXPECT_TRUE(r.ok()) << r.error;
     // Every shard carries the shared universe; take it once.
     if (i == 0) out.truth.aps = shard.truth.aps;
-    const std::size_t device_base = store.device_begin(i);
-    const auto app_base = static_cast<std::uint32_t>(out.app_traffic.size());
-    for (DeviceInfo d : shard.devices) {
-      d.id = DeviceId{static_cast<std::uint32_t>(device_base + value(d.id))};
-      out.devices.push_back(d);
-    }
-    out.survey.insert(out.survey.end(), shard.survey.begin(),
-                      shard.survey.end());
-    out.truth.devices.insert(out.truth.devices.end(),
-                             shard.truth.devices.begin(),
-                             shard.truth.devices.end());
-    out.app_traffic.insert(out.app_traffic.cend(), shard.app_traffic.begin(),
-                           shard.app_traffic.end());
-    // Device ids always rebase; app_begin only for Android devices — iOS
-    // samples keep app_begin = 0, exactly as the simulator's splice
-    // leaves them.
-    for (Sample s : shard.samples) {
-      const std::size_t local = value(s.device);
-      s.device = DeviceId{static_cast<std::uint32_t>(device_base + local)};
-      if (shard.devices[local].os == Os::Android) s.app_begin += app_base;
-      out.samples.push_back(s);
-    }
+    EXPECT_EQ(out.devices.size(), store.device_begin(i));
+    test::append_block(out, shard);
   }
   out.aps = store.universe_aps();
   return out;

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstring>
 
 #include "core/dataset_index.h"
 #include "core/parallel.h"
+#include "sim/engine.h"
 #include "testutil.h"
 
 namespace tokyonet::sim {
@@ -76,42 +77,61 @@ TEST(Simulator, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Simulator, DeterministicAcrossDevicePartitionings) {
-  // Counter-based draws key on (device, day, bin), not on how many draws
-  // some earlier device consumed — so sweeping the panel one device at a
-  // time, sixteen at a time, or as one block must produce byte-identical
-  // campaigns. TOKYONET_SIM_DEVICE_BLOCK picks the sweep granularity
-  // (default 1).
-  const Dataset base = simulate_year(Year::Y2015, 0.05);
-  for (const char* block : {"16", "1000000"}) {
-    ASSERT_EQ(setenv("TOKYONET_SIM_DEVICE_BLOCK", block, 1), 0);
-    const Dataset other = simulate_year(Year::Y2015, 0.05);
-    ASSERT_EQ(unsetenv("TOKYONET_SIM_DEVICE_BLOCK"), 0);
+  // engine.h's partition invariance: counter-based draws key on
+  // (global device, day, bin), not on how many draws another device
+  // consumed, so run_all() equals run_block(0, k) ++ run_block(k, n),
+  // ids and app_begin rebased, byte for byte at every split point k.
+  const ScenarioConfig config = scenario_config(Year::Y2015, 0.05);
+  const Dataset whole = CampaignEngine(config).run_all();
+  const std::size_t n = whole.devices.size();
+  ASSERT_GT(n, 3u);
+  for (const std::size_t k : {std::size_t{1}, n / 2, n - 1}) {
+    CampaignEngine engine(config);
+    Dataset joined;
+    const Dataset head = engine.run_block(0, k, false);
+    EXPECT_FALSE(head.indexed());  // no AP universe: left to its loader
+    test::append_block(joined, head);
+    test::append_block(joined, engine.run_block(k, n, false));
 
-    ASSERT_EQ(base.samples.size(), other.samples.size());
-    for (std::size_t i = 0; i < base.samples.size(); ++i) {
-      ASSERT_TRUE(samples_equal(base.samples[i], other.samples[i]))
-          << "sample " << i << " differs at block size " << block;
+    ASSERT_EQ(joined.samples.size(), whole.samples.size()) << "k=" << k;
+    EXPECT_EQ(std::memcmp(joined.samples.data(), whole.samples.data(),
+                          whole.samples.size() * sizeof(Sample)),
+              0)
+        << "k=" << k;
+    ASSERT_EQ(joined.app_traffic.size(), whole.app_traffic.size());
+    EXPECT_EQ(std::memcmp(joined.app_traffic.data(), whole.app_traffic.data(),
+                          whole.app_traffic.size() * sizeof(AppTraffic)),
+              0)
+        << "k=" << k;
+    ASSERT_EQ(joined.devices.size(), n);
+    ASSERT_EQ(joined.truth.devices.size(), n);
+    for (std::size_t d = 0; d < n; ++d) {
+      EXPECT_EQ(joined.devices[d].id, whole.devices[d].id);
+      EXPECT_EQ(joined.devices[d].os, whole.devices[d].os);
+      EXPECT_EQ(joined.truth.devices[d].update_bin,
+                whole.truth.devices[d].update_bin);
+      EXPECT_EQ(joined.truth.devices[d].capped_day,
+                whole.truth.devices[d].capped_day);
     }
-    ASSERT_EQ(base.app_traffic.size(), other.app_traffic.size());
-    for (std::size_t i = 0; i < base.app_traffic.size(); ++i) {
-      ASSERT_EQ(base.app_traffic[i].rx_bytes, other.app_traffic[i].rx_bytes);
-      ASSERT_EQ(base.app_traffic[i].tx_bytes, other.app_traffic[i].tx_bytes);
-    }
-    ASSERT_EQ(base.truth.devices.size(), other.truth.devices.size());
-    for (std::size_t i = 0; i < base.truth.devices.size(); ++i) {
-      ASSERT_EQ(base.truth.devices[i].update_bin,
-                other.truth.devices[i].update_bin);
-    }
+    EXPECT_EQ(joined.survey.size(), whole.survey.size());
+    // The blocks were unindexed; with the universe installed they pass
+    // the contract, as load_shard() relies on.
+    joined.calendar = whole.calendar;
+    joined.aps = whole.aps;
+    joined.truth.aps = whole.truth.aps;
+    EXPECT_EQ(joined.validate_and_index(), "") << "k=" << k;
   }
 }
 
 TEST(Simulator, EmitsDenseIndexedCampaign) {
   // One sample per (device, bin) with in-order bins: the index's dense
   // flag must hold, since the columnar kernels take their fixed-stride
-  // fast paths from it.
+  // fast paths from it. The campaign keeps the whole contract that
+  // every loaded campaign keeps.
   const Dataset& ds = campaign(Year::Y2015);
   ASSERT_TRUE(ds.indexed());
   EXPECT_TRUE(ds.index().dense());
+  EXPECT_EQ(ds.validate(), "");
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
@@ -261,7 +281,7 @@ TEST(Simulator, UpdatedDevicesCarryTheImageVolume) {
     // that started on a short public-WiFi session may finish the image
     // over later sessions (or not at all within the campaign).
     double mb = 0;
-    for (const Sample& s : ds.device_samples(ds.devices[i].id)) {
+    for (const Sample& s : test::device_samples(ds, i)) {
       if (s.bin >= ub) mb += s.wifi_rx / 1e6;
     }
     EXPECT_GT(mb, 100.0);  // at least a substantial chunk streamed
@@ -281,7 +301,7 @@ TEST(Simulator, CappedDayTruthConsistentWithTraffic) {
   // capped days match the 3-day-window rule.
   for (const DeviceInfo& dev : ds.devices) {
     std::vector<double> daily(static_cast<std::size_t>(ds.num_days()), 0.0);
-    for (const Sample& s : ds.device_samples(dev.id)) {
+    for (const Sample& s : test::device_samples(ds, value(dev.id))) {
       daily[static_cast<std::size_t>(ds.calendar.day_of(s.bin))] +=
           s.cell_rx / 1e6;
     }
@@ -304,7 +324,7 @@ TEST(Simulator, HomeAssociationsUseTheHomeAp) {
     if (!t.has_home_ap) continue;
     // Samples associated during deep night at the home cell must use the
     // user's own home AP.
-    for (const Sample& s : ds.device_samples(dev.id)) {
+    for (const Sample& s : test::device_samples(ds, value(dev.id))) {
       if (s.wifi_state != WifiState::Associated) continue;
       if (ds.calendar.hour_of(s.bin) != 3) continue;
       EXPECT_EQ(s.ap, t.home_ap);

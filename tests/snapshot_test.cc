@@ -168,9 +168,9 @@ TEST_P(SnapshotRoundTrip, BitExactAllYears) {
   expect_datasets_equal(fresh, owned);
 
   // The per-device index works over the borrowed (mmapped) column.
-  for (const DeviceInfo& d : fresh.devices) {
-    expect_bytes_equal(fresh.device_samples(d.id),
-                       mapped.device_samples(d.id), "device_samples");
+  for (std::size_t d = 0; d < fresh.devices.size(); ++d) {
+    expect_bytes_equal(test::device_samples(fresh, d),
+                       test::device_samples(mapped, d), "device_samples");
   }
 }
 
@@ -378,6 +378,17 @@ TEST(SnapshotCorruption, SealedContractViolationsRejected) {
       {"empty survey", [](Dataset& d) { d.survey.clear(); }},
       {"duplicate (device, bin)",
        [](Dataset& d) { d.samples[1].bin = d.samples[0].bin; }},
+      // Two samples of one Android device both reference record 0: each
+      // range is in the table, but the device's records overlap.
+      {"overlapping app ranges",
+       [](Dataset& d) {
+         std::size_t i = 0;
+         while (d.devices[value(d.samples[i].device)].os != Os::Android) ++i;
+         for (Sample* s : {&d.samples[i], &d.samples[i + 1]}) {
+           s->app_begin = 0;
+           s->app_count = 1;
+         }
+       }},
   };
 
   TempDir tmp;

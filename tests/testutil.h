@@ -8,10 +8,12 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <span>
 #include <string>
 
 #include "analysis/classify.h"
 #include "analysis/query/source.h"
+#include "core/dataset_index.h"
 #include "core/records.h"
 #include "core/scenario.h"
 #include "sim/simulator.h"
@@ -107,6 +109,43 @@ inline ApId add_ap(Dataset& ds, std::string essid, Band band = Band::B24GHz,
 /// build_index() refuses the samples.
 inline void build_index(Dataset& ds) {
   ASSERT_TRUE(ds.build_index()) << ds.validate();
+}
+
+/// Device `d`'s samples as AoS records, through the index's device
+/// range — for tests that compare whole records. Analysis kernels read
+/// the index columns instead.
+inline std::span<const Sample> device_samples(const Dataset& ds,
+                                              std::size_t d) {
+  const core::DatasetIndex& idx = ds.index();
+  return ds.samples.span().subspan(idx.device_begin(d),
+                                   idx.device_end(d) - idx.device_begin(d));
+}
+
+/// Appends a device block with local ids and block-local app offsets —
+/// a CampaignEngine::run_block() result or a loaded shard — to `out`,
+/// rebasing device ids and Android app_begin offsets onto `out`'s
+/// tables. iOS samples keep app_begin = 0, exactly as the simulator's
+/// splice leaves them.
+inline void append_block(Dataset& out, const Dataset& block) {
+  const std::size_t device_base = out.devices.size();
+  const auto app_base = static_cast<std::uint32_t>(out.app_traffic.size());
+  for (DeviceInfo d : block.devices) {
+    d.id = DeviceId{static_cast<std::uint32_t>(device_base + value(d.id))};
+    out.devices.push_back(d);
+  }
+  out.survey.insert(out.survey.end(), block.survey.begin(),
+                    block.survey.end());
+  out.truth.devices.insert(out.truth.devices.end(),
+                           block.truth.devices.begin(),
+                           block.truth.devices.end());
+  out.app_traffic.insert(out.app_traffic.cend(), block.app_traffic.begin(),
+                         block.app_traffic.end());
+  for (Sample s : block.samples) {
+    const std::size_t local = value(s.device);
+    s.device = DeviceId{static_cast<std::uint32_t>(device_base + local)};
+    if (block.devices[local].os == Os::Android) s.app_begin += app_base;
+    out.samples.push_back(s);
+  }
 }
 
 /// A fresh, empty scratch directory for the running test, removed on

@@ -89,6 +89,22 @@ expect 0 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards" \
     --resident-shards 2
 expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards"
 expect 0 "${tokyonet}" fig all --shard-dir "${tmp}/shards" --format json
+# `fig all --format json` prints one JSON document: an array with one
+# entry per out-of-core figure of the store's year (csv stays stacked).
+"${tokyonet}" fig list > "${tmp}/fig-list.txt"
+"${tokyonet}" fig all --shard-dir "${tmp}/shards" --format json \
+    2>/dev/null > "${tmp}/fig-all.json"
+python3 - "${tmp}/fig-list.txt" "${tmp}/fig-all.json" <<'PY' || {
+import json, re, sys
+rows = [re.split(r"\s{2,}", line.strip())
+        for line in open(sys.argv[1]).read().splitlines()[2:] if "  " in line]
+want = sum(1 for r in rows if r[2] == "yes" and "2015" in r[1].split())
+got = json.load(open(sys.argv[2]))
+assert isinstance(got, list) and len(got) == want, (len(got), want)
+PY
+  echo "FAIL: fig all --format json is not one array of the" \
+       "out-of-core figures" >&2; exit 1; }
+echo "ok: fig all --format json parses as one array per figure"
 expect 2 "${tokyonet}" fig run fig01 --shard-dir "${tmp}/shards"  # longitudinal
 expect 2 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
     --year 2013  # the store holds 2015

@@ -23,6 +23,8 @@
 //   tokyonet fig all --check-goldens [--goldens DIR]
 //       Render the whole catalog, or write / byte-compare the golden
 //       canonical-JSON files (always at the pinned golden scale).
+//       --format json prints one JSON array with one document per
+//       figure; csv and text stack one table per figure.
 //       With --shard-dir, render every out-of-core capable figure for
 //       the store's campaign year with bounded memory.
 //
@@ -107,6 +109,7 @@
 
 #include "analysis/query/source.h"
 #include "analysis/ratios.h"
+#include "core/dataset_index.h"
 #include "ingest/replay.h"
 #include "ingest/server.h"
 #include "ingest/tcp.h"
@@ -174,6 +177,8 @@ int usage() {
                "[--resident-shards K]\n"
                "  tokyonet fig all [--format text|csv|json] "
                "[--shard-dir DIR] [--resident-shards K]\n"
+               "      (json: one array of figures; csv/text: one table "
+               "per figure, stacked)\n"
                "  tokyonet fig all --update-goldens|--check-goldens "
                "[--goldens DIR]\n"
                "  tokyonet simulate --year 2013|2014|2015 [--scale S] "
@@ -574,6 +579,8 @@ int cmd_fig_all(const Args& args) {
     store_year = y;
   }
   const auto& registry = report::FigureRegistry::instance();
+  const bool json = args.format == "json";
+  if (json) std::printf("[\n");
   bool first = true;
   for (const report::FigureSpec& spec : registry.figures()) {
     // From a shard store, the catalog narrows to the shard-decomposable
@@ -584,11 +591,17 @@ int cmd_fig_all(const Args& args) {
       continue;
     }
     if (!first && args.format == "text") std::printf("\n");
+    if (!first && json) std::printf(",\n");
     first = false;
     const report::Table table = store_year ? runner.run(spec, *store_year)
                                            : runner.run_stacked(spec);
-    if (!render_table(table, args.format)) return kExitUsage;
+    if (json) {
+      std::fputs(report::to_canonical_json(table).c_str(), stdout);
+    } else if (!render_table(table, args.format)) {
+      return kExitUsage;
+    }
   }
+  if (json) std::printf("]\n");
   return kExitOk;
 }
 
@@ -921,10 +934,8 @@ void print_ingest_summary(const ingest::IngestServer& server) {
     std::printf("stream:   no summary: %s\n", error.c_str());
   } else if (ds.has_value() && !ds->samples.empty()) {
     std::uint64_t cell_rx = 0, wifi_rx = 0;
-    for (const Sample& s : ds->samples.span()) {
-      cell_rx += s.cell_rx;
-      wifi_rx += s.wifi_rx;
-    }
+    for (const std::uint32_t rx : ds->index().cell_rx()) cell_rx += rx;
+    for (const std::uint32_t rx : ds->index().wifi_rx()) wifi_rx += rx;
     const std::vector<analysis::UserDay> days = analysis::user_days(*ds);
     const double ratio =
         analysis::compute_wifi_ratios(analysis::query::InMemorySource(*ds),
